@@ -17,9 +17,8 @@ page boundaries preserved. A probe serves a fragment in two ways:
 Replayed pages bypass the network entirely: nothing is charged, network
 counters honestly report zero shipped bytes for the fragment, and the
 pages feed the exact same normalization pipeline
-(:meth:`~repro.core.pages.Page.retyped` / ``plain`` + ``split_batches``)
-a cold fetch would, so rows *and dtypes* are bit-identical to cold
-execution.
+(:func:`~repro.core.pages.as_page` + ``split_batches``) a cold fetch
+would, so rows *and dtypes* are bit-identical to cold execution.
 
 Admission is strict — the PR 5 invariant "partial results are never
 cached" is enforced structurally:

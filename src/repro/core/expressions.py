@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import operator
 import re
-from array import array
 from itertools import compress, repeat
 from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
 
@@ -223,7 +222,7 @@ def compile_predicate(expr: ast.Expr, layout: Dict[int, int]) -> RowFunction:
 
 
 def compile_batch_expression(
-    expr: ast.Expr, layout: Dict[int, int], vectorized: bool = True
+    expr: ast.Expr, layout: Dict[int, int]
 ) -> BatchFunction:
     """Compile a bound expression into ``fn(page) -> [value, ...]``.
 
@@ -233,21 +232,10 @@ def compile_batch_expression(
     the operand vectors instead of one closure call per row per node. NULL
     (``None``) propagates inside each loop.
 
-    With ``vectorized=False`` the kernel instead wraps the row-compiled
-    closure in a per-row loop — the PR 2 row-tuple engine, kept as the
-    benchmark baseline and as an equivalence oracle for the fuzzers.
-
     Kernels accept a :class:`~repro.core.pages.Page` or a plain row-tuple
     list (transposed on entry for legacy callers).
     """
     width = len(layout)
-    if not vectorized:
-        fn = _compile(expr, layout)
-
-        def row_kernel(batch: BatchInput) -> List[Any]:
-            return [fn(row) for row in as_page(batch, width)]
-
-        return row_kernel
     vector = _compile_vector(expr, layout)
 
     def kernel(batch: BatchInput) -> List[Any]:
@@ -257,28 +245,18 @@ def compile_batch_expression(
 
 
 def compile_batch_predicate(
-    expr: ast.Expr, layout: Dict[int, int], vectorized: bool = True
+    expr: ast.Expr, layout: Dict[int, int]
 ) -> BatchPredicate:
     """Compile a predicate into ``fn(page) -> page of surviving rows``.
 
     WHERE semantics: rows whose predicate evaluates to NULL are dropped,
-    exactly like :func:`compile_predicate` row by row. The vectorized form
+    exactly like :func:`compile_predicate` row by row. The kernel
     computes a boolean mask column, normalizes it to strict ``is True``
     selectors in one C pass, then slices every column with
-    ``itertools.compress`` — no index vector, no per-row gather calls,
-    and typed vectors stay typed. A fully-passing page is returned as-is
-    (zero copy).
+    ``itertools.compress`` — no index vector, no per-row gather calls.
+    A fully-passing page is returned as-is (zero copy).
     """
     width = len(layout)
-    if not vectorized:
-        fn = _compile(expr, layout)
-
-        def row_select(batch: BatchInput) -> Page:
-            page = as_page(batch, width)
-            rows = [row for row in page if fn(row) is True]
-            return Page.from_rows(rows, page.width)
-
-        return row_select
     vector = _compile_vector(expr, layout)
     is_ = operator.is_
 
@@ -290,13 +268,10 @@ def compile_batch_predicate(
         selected = selectors.count(True)
         if selected == page.num_rows:
             return page
-        columns: List[Any] = [
-            array(column.typecode, compress(column, selectors))
-            if type(column) is array
-            else list(compress(column, selectors))
-            for column in page.columns
-        ]
-        return Page(columns, selected)
+        return Page(
+            [list(compress(column, selectors)) for column in page.columns],
+            selected,
+        )
 
     return select
 
@@ -689,14 +664,9 @@ def _compile_vector(expr: ast.Expr, layout: Dict[int, int]) -> VectorFunction:
             return lambda page: [
                 None if value is None else (not value) for value in operand(page)
             ]
-
-        def negate(page: Page) -> List[Any]:
-            column = operand(page)
-            if type(column) is array:  # null-free typed vector: pure C loop
-                return list(map(operator.neg, column))
-            return [None if value is None else -value for value in column]
-
-        return negate
+        return lambda page: [
+            None if value is None else -value for value in operand(page)
+        ]
     if isinstance(expr, ast.FunctionCall):
         return _vector_function(expr, layout)
     if isinstance(expr, ast.Case):
@@ -754,68 +724,32 @@ def _vector_binary(expr: ast.BinaryOp, layout: Dict[int, int]) -> VectorFunction
     if kernel is None:
         raise ExecutionError(f"unknown binary operator {op!r}")
     # Constant folding: a literal operand broadcasts as a bound scalar
-    # instead of materializing a constant column. When the operand vector
-    # is a typed ``array`` (null-free by construction) the None screen is
-    # skipped entirely and map() runs the whole loop in C — with the
-    # C-implemented ``operator`` kernels this is the object-dispatch-free
-    # hot path the typed pages exist for.
+    # instead of materializing a constant column.
     if isinstance(expr.right, ast.Literal):
         constant = expr.right.value
         left = _compile_vector(expr.left, layout)
         if constant is None:
             return lambda page: [None] * page.num_rows
-
-        def const_right(page: Page) -> List[Any]:
-            column = left(page)
-            if type(column) is array:
-                return list(map(kernel, column, repeat(constant)))
-            return [
-                None if value is None else kernel(value, constant)
-                for value in column
-            ]
-
-        return const_right
+        return lambda page: [
+            None if value is None else kernel(value, constant)
+            for value in left(page)
+        ]
     if isinstance(expr.left, ast.Literal):
         constant = expr.left.value
         right = _compile_vector(expr.right, layout)
         if constant is None:
             return lambda page: [None] * page.num_rows
-
-        def const_left(page: Page) -> List[Any]:
-            column = right(page)
-            if type(column) is array:
-                return list(map(kernel, repeat(constant), column))
-            return [
-                None if value is None else kernel(constant, value)
-                for value in column
-            ]
-
-        return const_left
+        return lambda page: [
+            None if value is None else kernel(constant, value)
+            for value in right(page)
+        ]
     left = _compile_vector(expr.left, layout)
     right = _compile_vector(expr.right, layout)
 
-    def binary(page: Page) -> List[Any]:
-        lhs_col, rhs_col = left(page), right(page)
-        lhs_typed = type(lhs_col) is array
-        rhs_typed = type(rhs_col) is array
-        if lhs_typed and rhs_typed:
-            return list(map(kernel, lhs_col, rhs_col))
-        if lhs_typed:  # only the untyped side can hold NULLs
-            return [
-                None if rhs is None else kernel(lhs, rhs)
-                for lhs, rhs in zip(lhs_col, rhs_col)
-            ]
-        if rhs_typed:
-            return [
-                None if lhs is None else kernel(lhs, rhs)
-                for lhs, rhs in zip(lhs_col, rhs_col)
-            ]
-        return [
-            None if (lhs is None or rhs is None) else kernel(lhs, rhs)
-            for lhs, rhs in zip(lhs_col, rhs_col)
-        ]
-
-    return binary
+    return lambda page: [
+        None if (lhs is None or rhs is None) else kernel(lhs, rhs)
+        for lhs, rhs in zip(left(page), right(page))
+    ]
 
 
 def _vector_like(expr: ast.BinaryOp, layout: Dict[int, int]) -> VectorFunction:
@@ -854,17 +788,10 @@ def _vector_function(expr: ast.FunctionCall, layout: Dict[int, int]) -> VectorFu
     if function.null_propagating:
         if len(arg_vectors) == 1:
             arg0 = arg_vectors[0]
-
-            def call_unary(page: Page) -> List[Any]:
-                column = arg0(page)
-                if type(column) is array:  # null-free: skip the None screen
-                    return list(map(implementation, column))
-                return [
-                    None if value is None else implementation(value)
-                    for value in column
-                ]
-
-            return call_unary
+            return lambda page: [
+                None if value is None else implementation(value)
+                for value in arg0(page)
+            ]
 
         def call(page: Page) -> List[Any]:
             columns = [vector(page) for vector in arg_vectors]

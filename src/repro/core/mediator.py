@@ -40,7 +40,6 @@ from .analyzer import Analyzer
 from .fragments import interpret_plan
 from .health import SourceHealthRegistry
 from .logical import MaterializedRowsOp, ScanOp
-from .morsels import MorselPool
 from .pages import Page
 from .physical import (
     ExchangeExec,
@@ -572,18 +571,14 @@ class GlobalInformationSystem:
         """Normalize options into the plan-cache key.
 
         Knobs that only affect *execution* (deadlines, fault plans, trace,
-        failure policy, typed column vectors, morsel workers) are masked
-        out so requests that differ only in runtime behavior share one
-        plan. ``fuse`` stays in the key — it changes the physical plan
-        shape.
+        failure policy) are masked out so requests that differ only in
+        runtime behavior share one plan.
         """
         return opts.but(
             faults=None,
             trace=False,
             deadline_ms=0.0,
             on_source_failure="fail",
-            typed_columns=True,
-            morsel_workers=1,
             # Tail-tolerance knobs steer fetching, never the plan shape.
             adaptive_timeout=False,
             timeout_multiplier=3.0,
@@ -700,12 +695,6 @@ class GlobalInformationSystem:
             ),
             fault_injector=injector,
             on_source_failure=opts.on_source_failure,
-            typed_columns=opts.typed_columns,
-            morsel_pool=(
-                MorselPool(opts.morsel_workers)
-                if opts.morsel_workers > 1
-                else None
-            ),
             fragment_cache=(
                 self.fragment_cache if self.fragment_cache.enabled else None
             ),
@@ -725,34 +714,29 @@ class GlobalInformationSystem:
     def _execute(self, planned: PlannedQuery, context: ExecutionContext) -> List[Tuple[Any, ...]]:
         """Drain the physical plan batch-at-a-time, prestarting independent
         exchanges so their sources transfer concurrently; always tears the
-        scheduler down (abandoning workers of failed/hung fragments) and
-        stops the morsel pool."""
+        scheduler down (abandoning workers of failed/hung fragments)."""
         scheduler = context.scheduler
+        if scheduler is None:
+            return self._drain_batches(planned.physical, context)
         try:
-            if scheduler is None:
-                return self._drain_batches(planned.physical, context)
-            try:
-                if context.scheduler_config.parallel:
-                    # Don't prestart a fetch the fragment cache is about to
-                    # answer — the worker would charge the network for pages
-                    # nobody consumes. (A prestarted exchange may still
-                    # *fill* the cache; it just never replays from it.)
-                    cache = context.fragment_cache
-                    scheduler.prestart(
-                        (
-                            op
-                            for op in planned.physical.walk()
-                            if isinstance(op, ExchangeExec)
-                            and (cache is None or not cache.would_serve(op.fragment))
-                        ),
-                        context,
-                    )
-                return self._drain_batches(planned.physical, context)
-            finally:
-                scheduler.close(context)
+            if context.scheduler_config.parallel:
+                # Don't prestart a fetch the fragment cache is about to
+                # answer — the worker would charge the network for pages
+                # nobody consumes. (A prestarted exchange may still
+                # *fill* the cache; it just never replays from it.)
+                cache = context.fragment_cache
+                scheduler.prestart(
+                    (
+                        op
+                        for op in planned.physical.walk()
+                        if isinstance(op, ExchangeExec)
+                        and (cache is None or not cache.would_serve(op.fragment))
+                    ),
+                    context,
+                )
+            return self._drain_batches(planned.physical, context)
         finally:
-            if context.morsel_pool is not None:
-                context.morsel_pool.close()
+            scheduler.close(context)
 
     @staticmethod
     def _drain_batches(root, context: ExecutionContext) -> List[Tuple[Any, ...]]:
@@ -782,9 +766,9 @@ class GlobalInformationSystem:
         if utility is not None:
             return self._execute_utility(utility)
         # Key the result cache on the *plan-shaping* options only —
-        # execution-only knobs (typed_columns, morsel_workers, deadlines,
-        # fault plans...) change neither rows nor column names, and keying
-        # on them caused spurious misses.
+        # execution-only knobs (deadlines, fault plans, failure policy...)
+        # change neither rows nor column names, and keying on them caused
+        # spurious misses.
         cache_key = (
             sql,
             None if options is None else self._plan_key_options(options),

@@ -16,27 +16,13 @@ Design notes
   bridgeable to row tuples for free: ``to_rows()`` is a single
   ``zip(*columns)``.
 
-* **Typed vectors.** A column vector is either a plain Python list
-  (the object vector: any dtype, NULLs in-band) or, when the column is
-  null-free and homogeneous for its declared type, a compact
-  ``array.array`` — typecode ``'q'`` (int64) for INTEGER, ``'d'``
-  (C double) for FLOAT. Typed vectors are a pure storage/speed
-  optimization: iteration, indexing and ``zip`` yield exactly the same
-  Python ``int``/``float`` objects a list would (Python floats *are* C
-  doubles, and int64-range ints round-trip exactly), so results stay
-  bit-identical with the object-vector and row engines. Columns that
-  carry a NULL, a bool, an out-of-range int, or mixed types simply stay
-  object vectors — the in-band NULL representation means no separate
-  mask is ever needed. :func:`typed_column` is the single gatekeeper
-  for this decision.
-
 * **Row semantics for compatibility.** ``Page`` deliberately behaves
   like a sequence of row tuples: ``len(page)`` is the row count,
   iterating yields row tuples, ``page[3]`` is a row, ``page[2:5]`` is a
   smaller :class:`Page`, and a page compares equal to the equivalent
-  ``list[tuple]``. Legacy operators written against the PR 2 row-batch
-  contract — and tests asserting on raw page contents — keep working
-  unchanged.
+  ``list[tuple]``, so operators that only implement the row-at-a-time
+  ``iterate()`` and tests asserting on raw page contents work against
+  pages directly.
 
 * **Zero-column pages.** A projection of no columns (e.g. the inner
   input of ``COUNT(*)`` after pruning) still carries a row count;
@@ -48,13 +34,12 @@ so adapters and the core can both use it without cycles.
 
 from __future__ import annotations
 
-from array import array
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 Row = Tuple[Any, ...]
 
-#: A column vector: plain list (object vector) or typed ``array.array``.
-Column = Union[List[Any], "array[Any]"]
+#: A column vector: a plain list, any dtype, NULLs in-band as ``None``.
+Column = List[Any]
 
 __all__ = [
     "Column",
@@ -64,55 +49,8 @@ __all__ = [
     "chunk_rows",
     "pages_from_rows",
     "paginate_rows",
-    "plain_column",
     "split_batches",
-    "typed_column",
 ]
-
-#: array typecodes per global dtype name (``DataType.value`` spelling).
-#: Only null-free INTEGER/FLOAT columns have a typed representation;
-#: TEXT/BOOLEAN/DATE and anything NULL-bearing stay object vectors.
-_TYPE_CODES = {"INTEGER": "q", "FLOAT": "d"}
-
-
-def typed_column(values: Column, dtype: Any) -> Column:
-    """Return a typed ``array`` vector for ``values`` when eligible.
-
-    ``dtype`` is a global-schema type (``DataType`` or its ``.value``
-    string). Eligibility is strict so typing is semantically invisible:
-
-    * INTEGER: every value is exactly ``int`` (``bool`` is excluded —
-      ``type(True) is bool``) and fits int64; otherwise unchanged.
-    * FLOAT: every value is exactly ``float``. Int-valued FLOAT columns
-      are *not* coerced — that would change ``2`` into ``2.0`` and
-      diverge from the row engine.
-    * Everything else (or any ``None`` present): returned unchanged.
-
-    The homogeneity test is a single C-speed ``set(map(type, values))``
-    pass, so retyping a freshly transposed page is cheap.
-    """
-    code = _TYPE_CODES.get(getattr(dtype, "value", dtype))
-    if code is None or type(values) is array:
-        return values
-    if not values:
-        return array(code)
-    kinds = set(map(type, values))
-    if code == "q":
-        if kinds == {int}:
-            try:
-                return array("q", values)
-            except OverflowError:  # out of int64 range: keep object vector
-                return values
-        return values
-    if kinds == {float}:
-        return array("d", values)
-    return values
-
-
-def plain_column(values: Column) -> List[Any]:
-    """Downgrade a column vector to a plain list (no-op for lists)."""
-    return list(values) if type(values) is array else values  # type: ignore[return-value]
-
 
 class Page:
     """A columnar batch: per-column value vectors plus a row count."""
@@ -127,31 +65,18 @@ class Page:
 
     @classmethod
     def from_rows(
-        cls,
-        rows: Sequence[Row],
-        width: Optional[int] = None,
-        dtypes: Optional[Sequence[Any]] = None,
+        cls, rows: Sequence[Row], width: Optional[int] = None
     ) -> "Page":
         """Transpose a row batch into a page.
 
         ``width`` (column count) is required to shape *empty* batches
-        correctly — with at least one row the width is inferred, and an
-        empty batch falls back to ``len(dtypes)`` when dtypes are given.
-        ``dtypes`` (global-schema types, one per column) additionally
-        opts eligible columns into typed ``array`` storage.
+        correctly — with at least one row the width is inferred.
         """
         num_rows = len(rows)
         if num_rows:
             columns: List[Column] = [list(column) for column in zip(*rows)]
         else:
-            if width is None and dtypes is not None:
-                width = len(dtypes)
             columns = [[] for _ in range(width or 0)]
-        if dtypes is not None:
-            columns = [
-                typed_column(column, dtype)
-                for column, dtype in zip(columns, dtypes)
-            ]
         return cls(columns, num_rows)
 
     @classmethod
@@ -164,24 +89,6 @@ class Page:
         if not self.columns:
             return [()] * self.num_rows
         return list(zip(*self.columns))
-
-    def plain(self) -> "Page":
-        """A view of this page with every typed vector downgraded to a
-        plain list. Returns ``self`` when nothing is typed."""
-        if any(type(column) is array for column in self.columns):
-            return Page([plain_column(column) for column in self.columns], self.num_rows)
-        return self
-
-    def retyped(self, dtypes: Sequence[Any]) -> "Page":
-        """A view with eligible columns upgraded to typed vectors (see
-        :func:`typed_column`). Returns ``self`` when nothing changes."""
-        columns = [
-            typed_column(column, dtype)
-            for column, dtype in zip(self.columns, dtypes)
-        ]
-        if all(new is old for new, old in zip(columns, self.columns)):
-            return self
-        return Page(columns, self.num_rows)
 
     # -- shape ---------------------------------------------------------
 
@@ -203,16 +110,12 @@ class Page:
     def take(self, indices: Sequence[int]) -> "Page":
         """Gather the given row positions into a new page.
 
-        ``map(column.__getitem__, indices)`` keeps the gather loop in C;
-        typed vectors stay typed (same typecode) across a take.
+        ``map(column.__getitem__, indices)`` keeps the gather loop in C.
         """
-        columns: List[Column] = []
-        for column in self.columns:
-            if type(column) is array:
-                columns.append(array(column.typecode, map(column.__getitem__, indices)))
-            else:
-                columns.append(list(map(column.__getitem__, indices)))
-        return Page(columns, len(indices))
+        return Page(
+            [list(map(column.__getitem__, indices)) for column in self.columns],
+            len(indices),
+        )
 
     def __getitem__(self, item: Union[int, slice]) -> Union[Row, "Page"]:
         if isinstance(item, slice):
@@ -235,19 +138,7 @@ class Page:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Page):
-            if self.num_rows != other.num_rows:
-                return False
-            if self.columns == other.columns:
-                return True
-            # A typed vector never compares equal to an equivalent list
-            # (array.__eq__ with a list is NotImplemented), so normalize
-            # before declaring pages different.
-            if len(self.columns) != len(other.columns):
-                return False
-            return all(
-                plain_column(mine) == plain_column(theirs)
-                for mine, theirs in zip(self.columns, other.columns)
-            )
+            return self.num_rows == other.num_rows and self.columns == other.columns
         if isinstance(other, (list, tuple)):
             return self.to_rows() == list(other)
         return NotImplemented
@@ -289,14 +180,11 @@ def chunk_rows(rows: Iterable[Row], size: int) -> Iterator[Page]:
 
 
 def pages_from_rows(
-    rows: Sequence[Row],
-    size: int,
-    width: Optional[int] = None,
-    dtypes: Optional[Sequence[Any]] = None,
+    rows: Sequence[Row], size: int, width: Optional[int] = None
 ) -> Iterator[Page]:
     """Slice a materialized row list into non-empty pages of ``size`` rows."""
     for start in range(0, len(rows), size):
-        yield Page.from_rows(rows[start : start + size], width, dtypes)
+        yield Page.from_rows(rows[start : start + size], width)
 
 
 def split_batches(batches: Iterable[Page], size: int) -> Iterator[Page]:
@@ -317,12 +205,7 @@ def split_batches(batches: Iterable[Page], size: int) -> Iterator[Page]:
             yield batch[start : start + size]
 
 
-def paginate_rows(
-    rows: Iterable[Row],
-    page_rows: int,
-    width: int,
-    dtypes: Optional[Sequence[Any]] = None,
-) -> Iterator[Page]:
+def paginate_rows(rows: Iterable[Row], page_rows: int, width: int) -> Iterator[Page]:
     """Chunk adapter output into wire pages (the adapter page contract).
 
     Yields zero or more *full* pages of exactly ``page_rows`` rows,
@@ -338,6 +221,6 @@ def paginate_rows(
     for row in rows:
         buffer.append(row)
         if len(buffer) == page_rows:
-            yield Page.from_rows(buffer, width, dtypes)
+            yield Page.from_rows(buffer, width)
             buffer = []
-    yield Page.from_rows(buffer, width, dtypes)
+    yield Page.from_rows(buffer, width)

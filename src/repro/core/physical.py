@@ -13,20 +13,17 @@ Operators pull **columnar pages** (:class:`~repro.core.pages.Page`: one
 Python list per column plus a row count, up to
 ``ExecutionContext.batch_size`` rows each) through Python generators:
 ``iterate_batches`` is the native protocol every built-in operator
-implements, and the classic row-at-a-time ``iterate`` survives as a thin
-compatibility shim that flattens pages into row tuples (so direct callers
-and third-party operators keep working — a subclass overriding only
-``iterate`` is chunked transparently back into pages). Filters and
-projections run vectorized kernels straight over the column vectors;
-joins and aggregation vectorize their key/argument expressions and touch
-rows only where the algorithm is inherently row-wise. ``batch_size=1``
-degenerates to the old row-pull engine.
+implements, and ``iterate`` flattens pages into row tuples for direct
+callers (a subclass overriding only ``iterate`` is chunked transparently
+back into pages). Filters and projections run vectorized kernels straight
+over the column vectors; joins and aggregation evaluate their
+key/argument expressions as whole columns and touch rows only where the
+algorithm is inherently row-wise.
 
 Network accounting is independent of the batch size: exchanges charge the
-simulated network once per **adapter page** (``capabilities().page_rows``)
-in every mode, and charged pages are only ever *split* — never coalesced —
-into dataflow batches, so a query's transfer metrics are bit-identical
-across batch sizes. All charging flows through the
+simulated network once per **adapter page** (``capabilities().page_rows``),
+and charged pages are only ever *split* — never coalesced — into dataflow
+batches, so a query's transfer metrics are bit-identical across batch sizes. All charging flows through the
 :class:`ExecutionContext` so those metrics are exact and deterministic.
 """
 
@@ -36,9 +33,18 @@ import datetime
 import random
 import threading
 import time
-from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..catalog.catalog import Catalog
 from ..datatypes import DataType
@@ -79,6 +85,9 @@ from .logical import (
     ValuesOp,
     WindowOp,
 )
+
+if TYPE_CHECKING:
+    from .planner import PlannerOptions
 
 Row = Tuple[Any, ...]
 
@@ -147,8 +156,7 @@ class ExecutionContext:
 
     ``batch_size`` is the dataflow granularity: how many rows operators
     hand each other per ``iterate_batches`` step. It never affects network
-    accounting (exchanges charge per adapter page regardless); ``1``
-    degenerates to row-at-a-time execution.
+    accounting (exchanges charge per adapter page regardless).
 
     Resilience knobs (all default-off, keeping the fault-free engine
     byte-identical): ``deadline`` is the query's wall-clock budget
@@ -172,8 +180,6 @@ class ExecutionContext:
         deadline=None,
         fault_injector=None,
         on_source_failure: str = "fail",
-        typed_columns: bool = True,
-        morsel_pool=None,
         fragment_cache=None,
         health=None,
     ) -> None:
@@ -202,14 +208,6 @@ class ExecutionContext:
         self.deadline = deadline
         self.fault_injector = fault_injector
         self.on_source_failure = on_source_failure
-        #: Serve typed (array-backed) column vectors from exchanges; off
-        #: downgrades every page to plain object vectors at the exchange
-        #: boundary (an honest A/B — results and accounting identical).
-        self.typed_columns = typed_columns
-        #: Shared intra-operator worker pool (repro.core.morsels), or None.
-        #: Armed by the mediator when PlannerOptions.morsel_workers > 1;
-        #: joins and aggregations split work into page morsels through it.
-        self.morsel_pool = morsel_pool
         #: ``source -> reason`` for sources excluded under "partial".
         self.excluded_sources: Dict[str, str] = {}
         self.metrics = ExecutionMetrics()
@@ -417,17 +415,10 @@ def _column_sizer(dtype):
         return lambda values: float(len(values))
     if dtype in (DataType.INTEGER, DataType.FLOAT):
         # 8 bytes per number; count the 1-byte exceptions instead of
-        # summing a float per cell. A typed vector is null-free and
-        # bool-free by construction, so its size is exactly 8 bytes/cell
-        # — the same total the scan would produce.
-        def numeric_bytes(values: Any) -> float:
-            if type(values) is array:
-                return 8.0 * len(values)
-            return 8.0 * len(values) - 7.0 * sum(
-                1 for v in values if v is None or v is True or v is False
-            )
-
-        return numeric_bytes
+        # summing a float per cell.
+        return lambda values: 8.0 * len(values) - 7.0 * sum(
+            1 for v in values if v is None or v is True or v is False
+        )
     if dtype is DataType.DATE:
         return lambda values: 4.0 * len(values) - 3.0 * values.count(None)
     if dtype is DataType.TEXT:
@@ -483,11 +474,10 @@ class PhysicalOperator:
     """Base class: an output schema plus a pull-based page stream.
 
     ``iterate_batches`` is the native protocol (all built-in operators
-    override it and exchange :class:`Page` objects); ``iterate`` is the
-    row-at-a-time compatibility shim that flattens pages into row tuples.
-    A third-party subclass may still override *only* ``iterate`` — the
-    base ``iterate_batches`` detects that and chunks the legacy row
-    stream into pages of ``ctx.batch_size``.
+    override it and exchange :class:`Page` objects); ``iterate`` flattens
+    pages into row tuples. A subclass may override *only* ``iterate`` —
+    the base ``iterate_batches`` detects that and chunks the row stream
+    into pages of ``ctx.batch_size``.
     """
 
     def __init__(self, columns: Sequence[RelColumn]) -> None:
@@ -706,7 +696,6 @@ class ExchangeExec(PhysicalOperator):
         self.page_rows = max(page_rows, 1)
         self.mode = mode
         self._sizer = make_batch_sizer(columns)
-        self._dtypes = [column.dtype for column in columns]
 
     def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         try:
@@ -744,17 +733,9 @@ class ExchangeExec(PhysicalOperator):
         # Normalize to columnar pages (a no-op for native adapters; legacy
         # adapters yielding row lists are transposed here), then split
         # charged pages down to the dataflow batch size — never merged
-        # across page boundaries (see split_batches). The exchange is also
-        # the typed-column boundary: with typed_columns on, eligible
-        # columns are upgraded to array vectors (a no-op for adapters
-        # that already serve typed pages); off, every page is downgraded
-        # to plain object vectors so the knob is an honest A/B.
+        # across page boundaries (see split_batches).
         width = len(self.columns)
-        if ctx.typed_columns:
-            dtypes = self._dtypes
-            normalized = (as_page(page, width).retyped(dtypes) for page in pages)
-        else:
-            normalized = (as_page(page, width).plain() for page in pages)
+        normalized = (as_page(page, width) for page in pages)
         source = self.fragment.source_name
         for batch in split_batches(normalized, ctx.batch_size):
             ctx.check_deadline(source)
@@ -879,16 +860,11 @@ class ExchangeExec(PhysicalOperator):
 class FilterExec(PhysicalOperator):
     """Vectorized selection: mask the page, gather survivors by index."""
 
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        predicate: ast.Expr,
-        vectorized: bool = True,
-    ) -> None:
+    def __init__(self, child: PhysicalOperator, predicate: ast.Expr) -> None:
         super().__init__(child.columns)
         self.child = child
         self._kernel = compile_batch_predicate(
-            predicate, build_layout(child.columns), vectorized
+            predicate, build_layout(child.columns)
         )
 
     def children(self) -> List[PhysicalOperator]:
@@ -915,14 +891,11 @@ class ProjectExec(PhysicalOperator):
         child: PhysicalOperator,
         expressions: Sequence[ast.Expr],
         columns: Sequence[RelColumn],
-        vectorized: bool = True,
     ) -> None:
         super().__init__(columns)
         self.child = child
         layout = build_layout(child.columns)
-        self._kernels = [
-            compile_batch_expression(e, layout, vectorized) for e in expressions
-        ]
+        self._kernels = [compile_batch_expression(e, layout) for e in expressions]
 
     def children(self) -> List[PhysicalOperator]:
         return [self.child]
@@ -932,102 +905,6 @@ class ProjectExec(PhysicalOperator):
         for batch in self.child.iterate_batches(ctx):
             # A zero-column projection still carries its row count.
             yield Page([kernel(batch) for kernel in kernels], len(batch))
-
-
-class FusedPipelineExec(PhysicalOperator):
-    """A fused scan pipeline: adjacent Filter/Project steps in one operator.
-
-    The physical planner (``fuse=True``) collapses every maximal chain of
-    ``FilterOp``/``ProjectOp`` nodes into one of these. Per input page the
-    fused loop runs mask → gather → project without crossing an operator
-    boundary: no intermediate generator frames, no per-step page
-    re-dispatch, and a page emptied by a filter short-circuits the rest of
-    the chain. Consecutive filters are conjoined into a single predicate
-    kernel before compilation (the predicates are pure, so evaluating
-    them as one ``AND`` is Kleene-equivalent to evaluating them in
-    sequence).
-
-    Rows, metrics, and page boundaries are identical to the unfused
-    operator chain; only EXPLAIN output differs (one ``Fused(...)`` node
-    replaces the chain).
-    """
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        steps: Sequence[LogicalPlan],
-        vectorized: bool = True,
-    ) -> None:
-        stages: List[Tuple[str, Any]] = []
-        labels: List[str] = []
-        current_columns = list(child.columns)
-        pending_predicates: List[ast.Expr] = []
-
-        def flush_filters() -> None:
-            if not pending_predicates:
-                return
-            predicate = ast.conjoin(list(pending_predicates))
-            assert predicate is not None
-            stages.append(
-                (
-                    "filter",
-                    compile_batch_predicate(
-                        predicate, build_layout(current_columns), vectorized
-                    ),
-                )
-            )
-            labels.append("Filter")
-            pending_predicates.clear()
-
-        for step in steps:  # innermost-first
-            if isinstance(step, FilterOp):
-                pending_predicates.append(step.predicate)
-                continue
-            if not isinstance(step, ProjectOp):  # pragma: no cover
-                raise PlanError(
-                    f"cannot fuse {type(step).__name__} into a pipeline"
-                )
-            flush_filters()
-            layout = build_layout(current_columns)
-            stages.append(
-                (
-                    "project",
-                    [
-                        compile_batch_expression(e, layout, vectorized)
-                        for e in step.expressions
-                    ],
-                )
-            )
-            labels.append("Project")
-            current_columns = list(step.columns)
-        flush_filters()
-        super().__init__(current_columns)
-        self.child = child
-        self._stages = stages
-        self._label = "→".join(labels)
-
-    def children(self) -> List[PhysicalOperator]:
-        return [self.child]
-
-    def describe(self) -> str:
-        return f"Fused({self._label})"
-
-    def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        stages = self._stages
-        for batch in self.child.iterate_batches(ctx):
-            page: Optional[Batch] = batch
-            for kind, payload in stages:
-                if kind == "filter":
-                    page = payload(page)
-                    if not page:
-                        page = None
-                        break
-                else:
-                    page = Page(
-                        [kernel(page) for kernel in payload], len(page)
-                    )
-            if page is not None and page.num_rows:
-                yield page
 
 
 class HashJoinExec(PhysicalOperator):
@@ -1048,13 +925,6 @@ class HashJoinExec(PhysicalOperator):
     columnar-ly (index gather on the left, one transpose for matched
     right rows); LEFT joins and residual predicates keep a per-row
     emission loop over the matched candidates.
-
-    With a morsel pool armed (``ExecutionContext.morsel_pool``), the
-    build side is materialized and split into per-page morsels whose
-    partial tables merge in page order (per-key row lists concatenate in
-    exactly the sequential build order), and probe pages map to output
-    pages on the pool with ordered emission — results are bit-identical
-    to the single-threaded path.
     """
 
     def __init__(
@@ -1067,7 +937,6 @@ class HashJoinExec(PhysicalOperator):
         residual: Optional[ast.Expr],
         columns: Sequence[RelColumn],
         null_aware: bool = False,
-        vectorized: bool = True,
     ) -> None:
         super().__init__(columns)
         self.left = left
@@ -1079,10 +948,10 @@ class HashJoinExec(PhysicalOperator):
         # Join keys are computed as whole columns per page; the build and
         # probe loops then index into the key vectors row by row.
         self._left_key_kernels = [
-            compile_batch_expression(k, left_layout, vectorized) for k in left_keys
+            compile_batch_expression(k, left_layout) for k in left_keys
         ]
         self._right_key_kernels = [
-            compile_batch_expression(k, right_layout, vectorized) for k in right_keys
+            compile_batch_expression(k, right_layout) for k in right_keys
         ]
         combined = build_layout(list(left.columns) + list(right.columns))
         self._residual = (
@@ -1102,81 +971,37 @@ class HashJoinExec(PhysicalOperator):
             return kernels[0](batch)
         return list(zip(*[kernel(batch) for kernel in kernels]))
 
-    def _build_partial(
-        self, batch: Batch, table: Optional[Dict[Any, List[Row]]] = None
-    ) -> Tuple[Dict[Any, List[Row]], bool, int]:
-        """Fold one right-side page into a (possibly shared) hash table."""
-        if table is None:
-            table = {}
-        has_null = False
-        setdefault = table.setdefault
-        if len(self._right_key_kernels) == 1:
-            for key, row in zip(
-                self._right_key_kernels[0](batch), batch
-            ):
-                if key is None:
-                    has_null = True
-                else:
-                    setdefault(key, []).append(row)
-        else:
-            key_columns = [kernel(batch) for kernel in self._right_key_kernels]
-            for key, row in zip(zip(*key_columns), batch):
-                # Key parts are scalar column values, so `in` (which
-                # compares with ==) finds exactly the None parts.
-                if None in key:
-                    has_null = True
-                else:
-                    setdefault(key, []).append(row)
-        return table, has_null, len(batch)
-
     def _build_table(
         self, ctx: ExecutionContext
     ) -> Tuple[Dict[Any, List[Row]], bool, int]:
-        pool = ctx.morsel_pool
-        if pool is not None:
-            pages: List[Batch] = []
-            for batch in self.right.iterate_batches(ctx):
-                ctx.check_deadline()
-                pages.append(batch)
-            if len(pages) > 1:
-                partials = pool.map_all(self._build_partial, pages)
-                table: Dict[Any, List[Row]] = {}
-                has_null = False
-                count = 0
-                for partial, partial_null, partial_count in partials:
-                    has_null = has_null or partial_null
-                    count += partial_count
-                    if not table:
-                        table = partial
-                        continue
-                    get = table.get
-                    for key, rows in partial.items():
-                        existing = get(key)
-                        if existing is None:
-                            table[key] = rows
-                        else:
-                            existing.extend(rows)
-                return table, has_null, count
-            table, has_null, count = {}, False, 0
-            for batch in pages:
-                _, page_null, page_count = self._build_partial(batch, table)
-                has_null = has_null or page_null
-                count += page_count
-            return table, has_null, count
-        table, has_null, count = {}, False, 0
+        """Hash the right input: ``(table, saw a NULL key, row count)``."""
+        table: Dict[Any, List[Row]] = {}
+        has_null = False
+        count = 0
+        setdefault = table.setdefault
+        kernels = self._right_key_kernels
         for batch in self.right.iterate_batches(ctx):
             ctx.check_deadline()
-            _, page_null, page_count = self._build_partial(batch, table)
-            has_null = has_null or page_null
-            count += page_count
+            count += len(batch)
+            if len(kernels) == 1:
+                for key, row in zip(kernels[0](batch), batch):
+                    if key is None:
+                        has_null = True
+                    else:
+                        setdefault(key, []).append(row)
+            else:
+                key_columns = [kernel(batch) for kernel in kernels]
+                for key, row in zip(zip(*key_columns), batch):
+                    # Key parts are scalar column values, so `in` (which
+                    # compares with ==) finds exactly the None parts.
+                    if None in key:
+                        has_null = True
+                    else:
+                        setdefault(key, []).append(row)
         return table, has_null, count
 
     def _make_prober(self, table: Dict[Any, List[Row]], right_count: int):
-        """Compile ``probe(page) -> Page | row list | None`` for this join.
-
-        The returned callable is pure (reads only the finished hash
-        table), so the morsel pool may run it on any worker.
-        """
+        """Compile ``probe(page) -> Page | row list | None`` for this join."""
         kernels = self._left_key_kernels
         single = len(kernels) == 1
         extract = self._extract_keys
@@ -1312,17 +1137,9 @@ class HashJoinExec(PhysicalOperator):
         size = ctx.batch_size
         width = len(self.columns)
 
-        def checked_batches() -> Iterator[Batch]:
-            for batch in self.left.iterate_batches(ctx):
-                ctx.check_deadline()
-                yield batch
-
-        pool = ctx.morsel_pool
-        if pool is not None:
-            results: Iterator[Any] = pool.ordered_map(probe, checked_batches())
-        else:
-            results = map(probe, checked_batches())
-        for out in results:
+        for batch in self.left.iterate_batches(ctx):
+            ctx.check_deadline()
+            out = probe(batch)
             if out is None:
                 continue
             if isinstance(out, Page):
@@ -1491,7 +1308,6 @@ class BindJoinExec(PhysicalOperator):
         condition: Optional[ast.Expr],
         columns: Sequence[RelColumn],
         null_aware: bool = False,
-        vectorized: bool = True,
     ) -> None:
         super().__init__(columns)
         self.probe = probe
@@ -1502,12 +1318,11 @@ class BindJoinExec(PhysicalOperator):
         self.kind = kind
         self.condition = condition
         self.null_aware = null_aware
-        self._vectorized = vectorized
         bind = remote.bind
         assert bind is not None
         self._bind = bind
         self._probe_key_kernel = compile_batch_expression(
-            bind.probe_key, build_layout(probe.columns), vectorized
+            bind.probe_key, build_layout(probe.columns)
         )
         self._remote_sizer = make_batch_sizer(remote.columns)
         self._key_sizer = _column_sizer(bind.fragment_key.dtype)
@@ -1566,7 +1381,6 @@ class BindJoinExec(PhysicalOperator):
                 ast.conjoin(residual),
                 self.columns,
                 self.null_aware,
-                vectorized=self._vectorized,
             )
         else:
             join = NestedLoopJoinExec(
@@ -1674,30 +1488,19 @@ class HashAggregateExec(PhysicalOperator):
     one ``add`` per row. Within every group the value order is exactly
     the global row order, so float SUM/AVG stay bit-identical to the
     row-at-a-time loop.
-
-    With a morsel pool armed (``ctx.morsel_pool``) the kernel evaluation
-    — the expensive, C-loop-heavy stage — runs on the workers page by
-    page while the coordinator consumes results in input order and keeps
-    all accumulation single-threaded; merging per-worker float partials
-    would re-associate additions, so no partial states are ever formed.
     """
 
-    def __init__(
-        self,
-        plan: AggregateOp,
-        child: PhysicalOperator,
-        vectorized: bool = True,
-    ) -> None:
+    def __init__(self, plan: AggregateOp, child: PhysicalOperator) -> None:
         super().__init__(plan.output_columns)
         self.child = child
         self.plan = plan
         layout = build_layout(child.columns)
         self._group_kernels = [
-            compile_batch_expression(e, layout, vectorized)
+            compile_batch_expression(e, layout)
             for e in plan.group_expressions
         ]
         self._argument_kernels = [
-            compile_batch_expression(call.argument, layout, vectorized)
+            compile_batch_expression(call.argument, layout)
             if call.argument is not None
             else None
             for call in plan.aggregates
@@ -1706,15 +1509,6 @@ class HashAggregateExec(PhysicalOperator):
     def children(self) -> List[PhysicalOperator]:
         return [self.child]
 
-    def _evaluate(self, batch: Batch) -> Tuple[Any, ...]:
-        """Kernel evaluation for one page (safe to run on pool workers)."""
-        key_columns = [kernel(batch) for kernel in self._group_kernels]
-        argument_columns = [
-            kernel(batch) if kernel is not None else None
-            for kernel in self._argument_kernels
-        ]
-        return len(batch), key_columns, argument_columns
-
     def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         groups: Dict[Any, List[Any]] = {}
         order: List[Any] = []
@@ -1722,19 +1516,14 @@ class HashAggregateExec(PhysicalOperator):
         single_key = len(self._group_kernels) == 1
         global_agg = not self._group_kernels
 
-        def checked_batches() -> Iterator[Batch]:
-            for batch in self.child.iterate_batches(ctx):
-                ctx.check_deadline()
-                yield batch
-
-        pool = ctx.morsel_pool
-        if pool is not None:
-            evaluated: Iterator[Any] = pool.ordered_map(
-                self._evaluate, checked_batches()
-            )
-        else:
-            evaluated = map(self._evaluate, checked_batches())
-        for num_rows, key_columns, argument_columns in evaluated:
+        for batch in self.child.iterate_batches(ctx):
+            ctx.check_deadline()
+            num_rows = len(batch)
+            key_columns = [kernel(batch) for kernel in self._group_kernels]
+            argument_columns = [
+                kernel(batch) if kernel is not None else None
+                for kernel in self._argument_kernels
+            ]
             if global_agg:
                 buckets: Dict[Any, Any] = {(): range(num_rows)}
                 local_order: List[Any] = [()]
@@ -1994,15 +1783,6 @@ class PhysicalPlanner:
     ``hash`` use hash joins; ``merge`` forces sort-merge for INNER
     equi-joins (other kinds keep hash — merge variants of semi/outer joins
     offer nothing here and hash handles their NULL subtleties already).
-
-    ``vectorized`` selects the expression engine inside page-native
-    operators: column-at-a-time kernels (the default) or the PR 2-era
-    row-at-a-time closures looped per page (kept as a benchmark baseline
-    and equivalence oracle — results and metrics are identical).
-
-    ``fuse`` collapses maximal Filter/Project chains into a single
-    :class:`FusedPipelineExec` (mask + gather + project in one pass per
-    page). Single Filter/Project nodes keep their dedicated operators.
     """
 
     def __init__(
@@ -2010,30 +1790,27 @@ class PhysicalPlanner:
         catalog: Catalog,
         join_algorithm: str = "auto",
         parallel_fragments: int = 1,
-        vectorized: bool = True,
-        fuse: bool = False,
     ) -> None:
         if join_algorithm not in JOIN_ALGORITHMS:
             raise PlanError(f"unknown join algorithm {join_algorithm!r}")
         self._catalog = catalog
         self._join_algorithm = join_algorithm
         self._parallel_fragments = max(parallel_fragments, 1)
-        self._vectorized = vectorized
-        self._fuse = fuse
+
+    @classmethod
+    def from_options(
+        cls, catalog: Catalog, options: "PlannerOptions"
+    ) -> "PhysicalPlanner":
+        """The physical planner a ``PlannerOptions`` selects — the one
+        construction site, shared by the planning (plan-cache miss) and
+        rebinding (plan-cache hit) paths so they cannot disagree."""
+        return cls(
+            catalog,
+            join_algorithm=options.join_algorithm,
+            parallel_fragments=options.max_parallel_fragments,
+        )
 
     def build(self, plan: LogicalPlan) -> PhysicalOperator:
-        if self._fuse and isinstance(plan, (FilterOp, ProjectOp)):
-            steps: List[LogicalPlan] = []
-            node: LogicalPlan = plan
-            while isinstance(node, (FilterOp, ProjectOp)):
-                steps.append(node)
-                node = node.child
-            if len(steps) >= 2:
-                return FusedPipelineExec(
-                    self.build(node),
-                    list(reversed(steps)),
-                    self._vectorized,
-                )
         if isinstance(plan, RemoteQueryOp):
             if plan.bind is not None:
                 raise PlanError(
@@ -2048,22 +1825,15 @@ class PhysicalPlanner:
                 "this is a planner bug"
             )
         if isinstance(plan, FilterOp):
-            return FilterExec(
-                self.build(plan.child), plan.predicate, self._vectorized
-            )
+            return FilterExec(self.build(plan.child), plan.predicate)
         if isinstance(plan, ProjectOp):
             return ProjectExec(
-                self.build(plan.child),
-                plan.expressions,
-                plan.columns,
-                self._vectorized,
+                self.build(plan.child), plan.expressions, plan.columns
             )
         if isinstance(plan, JoinOp):
             return self._join(plan)
         if isinstance(plan, AggregateOp):
-            return HashAggregateExec(
-                plan, self.build(plan.child), self._vectorized
-            )
+            return HashAggregateExec(plan, self.build(plan.child))
         if isinstance(plan, WindowOp):
             return WindowExec(plan, self.build(plan.child))
         if isinstance(plan, SortOp):
@@ -2120,7 +1890,6 @@ class PhysicalPlanner:
                 condition=plan.condition,
                 columns=plan.output_columns,
                 null_aware=plan.null_aware,
-                vectorized=self._vectorized,
             )
         left = self.build(plan.left)
         right = self.build(plan.right)
@@ -2152,5 +1921,4 @@ class PhysicalPlanner:
             ast.conjoin(residual),
             plan.output_columns,
             plan.null_aware,
-            vectorized=self._vectorized,
         )

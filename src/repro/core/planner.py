@@ -67,34 +67,9 @@ class PlannerOptions:
         breaker_reset_ms: how long a tripped breaker stays open before
             admitting a half-open probe.
         batch_size: rows per columnar page handed between physical
-            operators (batch-at-a-time execution); 1 degenerates to
-            classic row-at-a-time pulls. Purely an executor knob — plans,
-            results, and simulated network accounting are identical at
-            every value.
-        vectorize: evaluate expressions with column-at-a-time kernels
-            (default) or with the row-at-a-time closures looped per page
-            (the PR 2 engine, kept as a benchmark baseline and
-            equivalence oracle). Purely an executor knob — results and
-            metrics are identical either way.
-        typed_columns: let exchanges serve typed column vectors
-            (``array``-backed int64/double for null-free INTEGER/FLOAT
-            columns) so expression/join/aggregate kernels run C loops
-            without per-value NULL screening; off downgrades every page
-            to plain object vectors at the exchange. Purely an executor
-            knob — results and network accounting are identical either
-            way.
-        fuse: collapse scan→filter→project chains into a single fused
-            pipeline operator (mask + gather + project in one pass per
-            page, no intermediate operator hops). Changes the physical
-            plan shape (visible in EXPLAIN) but never results or
-            metrics.
-        morsel_workers: worker threads for intra-operator parallelism:
-            large hash-join builds/probes and aggregation inputs split
-            into page-range morsels processed by a shared pool, with
-            per-worker partial states merged deterministically (results
-            stay bit-identical). 1 = no pool, classic single-threaded
-            operators. Complements ``max_parallel_fragments``, which
-            only parallelizes *fetching*.
+            operators (batch-at-a-time execution). Purely an executor
+            knob — plans, results, and simulated network accounting are
+            identical at every value.
         trace: force tracing for queries planned with these options even
             when the mediator's tracer is globally disabled (per-query
             tracing). Purely observational — never changes the plan.
@@ -160,10 +135,6 @@ class PlannerOptions:
     breaker_failure_threshold: int = 0
     breaker_reset_ms: float = 30000.0
     batch_size: int = 1024
-    vectorize: bool = True
-    typed_columns: bool = True
-    fuse: bool = True
-    morsel_workers: int = 1
     trace: bool = False
     deadline_ms: float = 0.0
     on_source_failure: str = "fail"
@@ -209,10 +180,6 @@ class PlannerOptions:
         if self.batch_size < 1:
             raise PlanError(
                 f"batch_size must be >= 1 (got {self.batch_size!r})"
-            )
-        if self.morsel_workers < 1:
-            raise PlanError(
-                f"morsel_workers must be >= 1 (got {self.morsel_workers!r})"
             )
         if self.retry_backoff_multiplier < 1:
             raise PlanError(
@@ -419,12 +386,8 @@ class Planner:
                 distributed = semijoin.apply(distributed)
 
             with tracer.child(plan_span, "physical", "phase"):
-                physical = PhysicalPlanner(
-                    self.catalog,
-                    join_algorithm=opts.join_algorithm,
-                    parallel_fragments=opts.max_parallel_fragments,
-                    vectorized=opts.vectorize,
-                    fuse=opts.fuse,
+                physical = PhysicalPlanner.from_options(
+                    self.catalog, opts
                 ).build(distributed)
 
         estimates = {}

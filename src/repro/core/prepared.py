@@ -429,13 +429,7 @@ class PreparedPlan:
             distributed = self.planned.distributed
         else:
             distributed = rebind_plan(self.planned.distributed, values)
-        physical = PhysicalPlanner(
-            catalog,
-            join_algorithm=options.join_algorithm,
-            parallel_fragments=options.max_parallel_fragments,
-            vectorized=options.vectorize,
-            fuse=options.fuse,
-        ).build(distributed)
+        physical = PhysicalPlanner.from_options(catalog, options).build(distributed)
         planning_ms = (time.perf_counter() - started) * 1000.0
         self.executions += 1
         return PlannedQuery(

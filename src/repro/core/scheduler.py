@@ -603,12 +603,6 @@ class FragmentScheduler:
             self._by_exchange[id(exchange)] = task
         return self.stream_pages(task, ctx)
 
-    def stream_exchange(self, exchange, ctx) -> Iterator[Row]:
-        """Row-granular compatibility wrapper over
-        :meth:`stream_exchange_pages`."""
-        for page in self.stream_exchange_pages(exchange, ctx):
-            yield from page
-
     def submit_fragment(
         self, adapter, fragment: Fragment, page_rows: int, ctx, sizer=None,
         hedge: bool = False,
@@ -892,11 +886,6 @@ class FragmentScheduler:
                 ) >= timeout_s:
                     raise
                 continue
-
-    def stream(self, task: _FragmentTask, ctx) -> Iterator[Row]:
-        """Row-granular compatibility wrapper over :meth:`stream_pages`."""
-        for page in self.stream_pages(task, ctx):
-            yield from page
 
     # -- shutdown -----------------------------------------------------------
 

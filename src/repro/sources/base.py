@@ -148,12 +148,8 @@ class Adapter(abc.ABC):
         awareness of their own; scripted connect failures, mid-stream
         outages, and latency spikes apply uniformly to every source kind.
         """
-        columns = fragment.output_columns
         return paginate_rows(
-            self.execute(fragment),
-            max(page_rows, 1),
-            len(columns),
-            dtypes=[column.dtype for column in columns],
+            self.execute(fragment), max(page_rows, 1), len(fragment.output_columns)
         )
 
     @abc.abstractmethod

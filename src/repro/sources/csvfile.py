@@ -131,12 +131,8 @@ class CsvSource(Adapter):
         of exactly ``page_rows`` rows, then exactly one final partial
         (possibly empty) page.
         """
-        columns = fragment.output_columns
         return paginate_rows(
-            self.execute(fragment),
-            max(page_rows, 1),
-            len(columns),
-            dtypes=[column.dtype for column in columns],
+            self.execute(fragment), max(page_rows, 1), len(fragment.output_columns)
         )
 
 

@@ -19,7 +19,7 @@ import itertools
 
 from ..core.fragments import Fragment
 from ..core.logical import FilterOp, ScanOp
-from ..core.pages import Page, paginate_rows, typed_column
+from ..core.pages import Page, paginate_rows
 from ..sql import ast
 from .base import Adapter, SourceCapabilities
 
@@ -152,43 +152,27 @@ class KeyValueSource(Adapter):
                 indices = self._reorder_indices(plan)
                 native_schema = self._native_schema(mapping.remote_table)
                 identity = indices == list(range(len(native_schema.columns)))
-                dtypes = [
-                    native_schema.columns[i].dtype for i in indices
-                ]
                 full = len(rows) // page_rows
                 for index in range(full + 1):
                     chunk = rows[index * page_rows : (index + 1) * page_rows]
                     if not chunk:  # final empty page keeps its width
                         yield Page([[] for _ in indices], 0)
                     elif identity:
-                        yield Page(
-                            [
-                                typed_column(list(col), dtype)
-                                for col, dtype in zip(zip(*chunk), dtypes)
-                            ],
-                            len(chunk),
-                        )
+                        yield Page([list(col) for col in zip(*chunk)], len(chunk))
                     else:
                         yield Page(
-                            [
-                                typed_column([row[i] for row in chunk], dtype)
-                                for i, dtype in zip(indices, dtypes)
-                            ],
+                            [[row[i] for row in chunk] for i in indices],
                             len(chunk),
                         )
                 return
-        output = fragment.output_columns
-        width = len(output)
-        dtypes = [column.dtype for column in output]
+        width = len(fragment.output_columns)
         if overridden:
-            yield from paginate_rows(
-                self.execute(fragment), page_rows, width, dtypes=dtypes
-            )
+            yield from paginate_rows(self.execute(fragment), page_rows, width)
             return
         stream = self.execute(fragment)
         while True:
             chunk = list(itertools.islice(stream, page_rows))
-            yield Page.from_rows(chunk, width, dtypes)
+            yield Page.from_rows(chunk, width)
             if len(chunk) < page_rows:
                 return
 

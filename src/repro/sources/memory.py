@@ -17,7 +17,7 @@ from ..datatypes import coerce_value
 from ..errors import CapabilityError, DuplicateObjectError, SourceError
 from ..core.fragments import Fragment, interpret_plan
 from ..core.logical import JoinOp, ScanOp
-from ..core.pages import Column, Page, paginate_rows, typed_column
+from ..core.pages import Column, Page, paginate_rows
 from .base import Adapter, SourceCapabilities
 
 
@@ -41,10 +41,8 @@ class MemorySource(Adapter):
         self._rows: Dict[str, List[Tuple[Any, ...]]] = {}
         # Lazily-built columnar mirror of ``_rows`` (one vector per
         # column), so paged scans serve column slices instead of
-        # re-transposing the row store on every request. Eligible
-        # INTEGER/FLOAT columns are typed once here (``array`` vectors);
-        # slicing an array yields an array, so every page served off the
-        # mirror is typed for free. Invalidated on data changes.
+        # re-transposing the row store on every request. Invalidated on
+        # data changes.
         self._columns: Dict[str, List[Column]] = {}
         self._capabilities = capabilities or SourceCapabilities(
             filters=True,
@@ -116,18 +114,11 @@ class MemorySource(Adapter):
         """The columnar mirror of a table, built on first paged scan."""
         columns = self._columns.get(resolved)
         if columns is None:
-            schema_columns = self._tables[resolved].columns
             rows = self._rows[resolved]
             if rows:
-                transposed: List[List[Any]] = [
-                    list(column) for column in zip(*rows)
-                ]
+                columns = [list(column) for column in zip(*rows)]
             else:
-                transposed = [[] for _ in schema_columns]
-            columns = [
-                typed_column(values, column.dtype)
-                for values, column in zip(transposed, schema_columns)
-            ]
+                columns = [[] for _ in self._tables[resolved].columns]
             self._columns[resolved] = columns
         return columns
 
@@ -211,10 +202,6 @@ class MemorySource(Adapter):
                         stop - start,
                     )
                 return
-        output_columns = fragment.output_columns
         yield from paginate_rows(
-            self.execute(fragment),
-            page_rows,
-            len(output_columns),
-            dtypes=[column.dtype for column in output_columns],
+            self.execute(fragment), page_rows, len(fragment.output_columns)
         )

@@ -170,13 +170,11 @@ class RestSource(Adapter):
         the final empty page.
         """
         page_rows = max(page_rows, 1)
-        output = fragment.output_columns
-        width = len(output)
-        dtypes = [column.dtype for column in output]
+        width = len(fragment.output_columns)
         rows = self.execute(fragment)
         while True:
             chunk = list(itertools.islice(rows, page_rows))
-            yield Page.from_rows(chunk, width, dtypes)
+            yield Page.from_rows(chunk, width)
             if len(chunk) < page_rows:
                 return
 

@@ -19,7 +19,7 @@ from ..datatypes import DataType, coerce_value
 from ..errors import CapabilityError, DuplicateObjectError, SourceError
 from ..core.fragments import Fragment
 from ..core.logical import RelColumn, ScanOp
-from ..core.pages import Page, typed_column
+from ..core.pages import Page
 from ..sql.printer import SQLitePrinterDialect, print_statement
 from .base import Adapter, SourceCapabilities
 from .sqlcompile import fragment_to_statement
@@ -234,10 +234,7 @@ class SQLiteSource(Adapter):
             if chunk:
                 page = Page(
                     [
-                        typed_column(
-                            [_from_sqlite(value, column.dtype) for value in raw],
-                            column.dtype,
-                        )
+                        [_from_sqlite(value, column.dtype) for value in raw]
                         for raw, column in zip(zip(*chunk), output)
                     ],
                     len(chunk),

@@ -323,6 +323,15 @@ class TestSurface:
         with pytest.raises(PlanError, match="batch_size"):
             PlannerOptions(batch_size=0)
 
+    @pytest.mark.parametrize(
+        "knob", ["vectorize", "typed_columns", "fuse", "morsel_workers"]
+    )
+    def test_executor_has_no_mode_knobs(self, knob):
+        # One execution mode by construction: the options that selected
+        # the others do not exist, so nothing can select them.
+        with pytest.raises(TypeError):
+            PlannerOptions(**{knob: 1})
+
     def test_format_table_footer(self):
         result = GIS.query("SELECT oid FROM orders ORDER BY oid")
         text = result.format_table(max_rows=5)

@@ -4,24 +4,16 @@ Three layers of pinning for the columnar engine:
 
 * ``Page`` itself — transposition bridges, row-compatible protocol
   (iteration, indexing, equality against row lists), selection.
-* Every vectorized kernel family agrees with its row-at-a-time
-  compilation (``vectorized=False``) on NULL-heavy inputs: arithmetic,
-  comparisons, three-valued AND/OR/NOT, LIKE, scalar functions, CASE,
-  CAST, IN lists, IS NULL, BETWEEN, and constant folding.
-* Typed column vectors — eligibility rules (``array``-backed INTEGER/
-  FLOAT vectors, object-vector fallback for NULLs, mixed dtypes, bools,
-  and out-of-range ints), typecode preservation through take/slice, and
-  kernel equivalence on typed vs plain pages.
-* Whole-query equivalence over the TPC-H-lite workload: the vectorized
-  engine produces bit-identical rows and network accounting across batch
-  sizes {1, 7, 1024}, sequential and parallel, and across every engine
-  mode — typed columns on/off × operator fusion on/off × morsel workers
-  {1, 4} — against the fully row-oriented engine (``vectorize=False,
-  typed_columns=False, fuse=False``) as the oracle, down to exact
-  network-byte accounting.
+* Every vectorized kernel family agrees with the row compiler
+  (``compile_expression`` / ``compile_predicate`` looped per row) on
+  NULL-heavy inputs: arithmetic, comparisons, three-valued AND/OR/NOT,
+  LIKE, scalar functions, CASE, CAST, IN lists, IS NULL, BETWEEN, and
+  constant folding.
+* Whole-query equivalence over the TPC-H-lite workload: rows match the
+  reference interpreter, and rows and network accounting are
+  bit-identical across batch sizes {1, 7, 1024}, sequential and
+  parallel, down to exact network-byte accounting.
 """
-
-from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,12 +24,17 @@ from repro.core.expressions import (
     build_layout,
     compile_batch_expression,
     compile_batch_predicate,
+    compile_expression,
+    compile_predicate,
 )
 from repro.core.logical import RelColumn
-from repro.core.pages import Page, as_page, plain_column, typed_column
+from repro.core.pages import Page, as_page
 from repro.datatypes import DataType
+from repro.errors import ExecutionError
 from repro.sql import ast
 from repro.workloads import WORKLOAD_QUERIES
+
+from .conftest import assert_same_rows
 
 INT = DataType.INTEGER
 TEXT = DataType.TEXT
@@ -112,77 +109,6 @@ class TestPage:
 
 
 # ---------------------------------------------------------------------------
-# typed column vectors
-# ---------------------------------------------------------------------------
-
-
-class TestTypedColumns:
-    def test_int_column_becomes_int64_array(self):
-        column = typed_column([1, 2, 3], INT)
-        assert type(column) is array and column.typecode == "q"
-        assert list(column) == [1, 2, 3]
-
-    def test_float_column_becomes_double_array(self):
-        column = typed_column([1.5, -0.25], FLOAT)
-        assert type(column) is array and column.typecode == "d"
-        assert list(column) == [1.5, -0.25]
-
-    def test_null_heavy_column_stays_plain(self):
-        assert type(typed_column([1, None, 3], INT)) is list
-
-    def test_mixed_dtype_column_stays_plain(self):
-        # An INTEGER-declared column holding a stray float (heterogeneous
-        # sources) must keep the object vector — array('q') would coerce.
-        assert type(typed_column([1, 2.0, 3], INT)) is list
-        # FLOAT columns holding exact ints keep them as ints (the global
-        # type system allows int-valued FLOATs; float() would diverge).
-        assert type(typed_column([1, 2], FLOAT)) is list
-
-    def test_bool_is_not_an_int64(self):
-        # type(True) is bool, not int: BOOLEAN values never leak into a
-        # typed INTEGER vector (array('q') would flatten them to 0/1).
-        assert type(typed_column([True, False], INT)) is list
-
-    def test_out_of_int64_range_falls_back(self):
-        assert type(typed_column([2**63], INT)) is list
-
-    def test_text_dtype_never_typed(self):
-        assert type(typed_column(["a", "b"], TEXT)) is list
-
-    def test_empty_eligible_column_is_typed(self):
-        assert type(typed_column([], INT)) is array
-
-    def test_plain_column_downgrades(self):
-        column = plain_column(typed_column([1, 2], INT))
-        assert type(column) is list and column == [1, 2]
-
-    def test_take_and_slice_preserve_typecode(self):
-        page = Page(
-            [typed_column([10, 20, 30], INT), ["x", "y", "z"]], 3
-        )
-        taken = page.take([2, 0])
-        assert type(taken.columns[0]) is array
-        assert taken.columns[0].typecode == "q"
-        assert taken == [(30, "z"), (10, "x")]
-        sliced = page[1:]
-        assert type(sliced.columns[0]) is array
-        assert sliced == [(20, "y"), (30, "z")]
-
-    def test_equality_normalizes_typed_vs_plain(self):
-        typed = Page([typed_column([1, 2], INT)], 2)
-        plain = Page([[1, 2]], 2)
-        assert typed == plain and plain == typed
-        assert typed == [(1,), (2,)]
-
-    def test_retyped_and_plain_round_trip(self):
-        page = Page([[1, 2], [0.5, 1.5]], 2)
-        typed = page.retyped([INT, FLOAT])
-        assert [type(c) for c in typed.columns] == [array, array]
-        assert typed.plain().columns == page.columns
-        assert typed.retyped([INT, FLOAT]) is typed  # no-op when typed
-
-
-# ---------------------------------------------------------------------------
 # vectorized kernels vs row compilations
 # ---------------------------------------------------------------------------
 
@@ -212,6 +138,18 @@ def lit(value, dtype=INT):
 
 
 NULL_LIT = ast.Literal(None, DataType.NULL)
+
+
+def row_values(expr, page):
+    """The row compiler's answer for every row of ``page``."""
+    fn = compile_expression(expr, LAYOUT)
+    return [fn(row) for row in page]
+
+
+def row_survivors(expr, page):
+    """The rows of ``page`` the row compiler's predicate keeps."""
+    keep = compile_predicate(expr, LAYOUT)
+    return [row for row in page if keep(row)]
 
 KERNEL_EXPRESSIONS = [
     ("add-columns", ast.BinaryOp("+", A, A)),
@@ -276,11 +214,9 @@ KERNEL_EXPRESSIONS = [
     ids=[name for name, _ in KERNEL_EXPRESSIONS],
 )
 def test_vectorized_kernel_matches_row_kernel(expr):
-    vector_fn = compile_batch_expression(expr, LAYOUT, vectorized=True)
-    row_fn = compile_batch_expression(expr, LAYOUT, vectorized=False)
-    assert vector_fn(NULL_HEAVY) == row_fn(NULL_HEAVY)
-    empty = Page.empty(len(COLS))
-    assert vector_fn(empty) == row_fn(empty) == []
+    vector_fn = compile_batch_expression(expr, LAYOUT)
+    assert vector_fn(NULL_HEAVY) == row_values(expr, NULL_HEAVY)
+    assert vector_fn(Page.empty(len(COLS))) == []
 
 
 @pytest.mark.parametrize(
@@ -288,11 +224,10 @@ def test_vectorized_kernel_matches_row_kernel(expr):
     ids=[name for name, _ in KERNEL_EXPRESSIONS],
 )
 def test_vectorized_predicate_matches_row_predicate(expr):
-    vector_fn = compile_batch_predicate(expr, LAYOUT, vectorized=True)
-    row_fn = compile_batch_predicate(expr, LAYOUT, vectorized=False)
+    vector_fn = compile_batch_predicate(expr, LAYOUT)
     # WHERE semantics: only rows where the predicate is exactly TRUE pass
-    # (NULL drops the row) — identical surviving rows in both engines.
-    assert vector_fn(NULL_HEAVY).to_rows() == row_fn(NULL_HEAVY).to_rows()
+    # (NULL drops the row) — identical surviving rows in both compilers.
+    assert vector_fn(NULL_HEAVY).to_rows() == row_survivors(expr, NULL_HEAVY)
 
 
 def test_all_pass_predicate_returns_input_page_unchanged():
@@ -304,8 +239,10 @@ def test_all_pass_predicate_returns_input_page_unchanged():
 
 def test_vectorized_rejects_aggregates_like_row_compiler():
     count = ast.FunctionCall("COUNT", (), star=True)
-    with pytest.raises(Exception):
-        compile_batch_expression(count, LAYOUT, vectorized=True)
+    with pytest.raises(ExecutionError):
+        compile_batch_expression(count, LAYOUT)
+    with pytest.raises(ExecutionError):
+        compile_expression(count, LAYOUT)
 
 
 def test_batch_inputs_accept_plain_row_lists():
@@ -339,19 +276,10 @@ def test_fuzzed_kernels_match_row_engine(rows):
         ),
         ast.IsNull(C),
     )
-    # The typed view of the same page: columns that are null-free and
-    # homogeneous become array vectors (hypothesis will generate both
-    # all-int/all-float columns and NULL-heavy ones that stay plain).
-    typed = page.retyped([col.dtype for col in COLS])
     for expr in (compound, ast.BinaryOp("*", A, C), ast.UnaryOp("NOT", D)):
-        vector_fn = compile_batch_expression(expr, LAYOUT, vectorized=True)
-        row_fn = compile_batch_expression(expr, LAYOUT, vectorized=False)
-        assert vector_fn(page) == row_fn(page)
-        assert vector_fn(typed) == row_fn(page)
-    predicate = compile_batch_predicate(compound, LAYOUT, vectorized=True)
-    oracle = compile_batch_predicate(compound, LAYOUT, vectorized=False)
-    assert predicate(page).to_rows() == oracle(page).to_rows()
-    assert predicate(typed).to_rows() == oracle(page).to_rows()
+        assert compile_batch_expression(expr, LAYOUT)(page) == row_values(expr, page)
+    predicate = compile_batch_predicate(compound, LAYOUT)
+    assert predicate(page).to_rows() == row_survivors(compound, page)
 
 
 # ---------------------------------------------------------------------------
@@ -362,22 +290,18 @@ _INT_METRICS = ("rows_shipped", "messages", "fragments_executed",
                 "semijoin_batches")
 _FLOAT_METRICS = ("bytes_shipped", "network_ms")
 
-_oracle_cache = {}
-
-#: The fully row-oriented engine: row kernels, object vectors, no
-#: fusion, no morsel pool. Every other mode must match it bit-for-bit.
-ORACLE_OPTIONS = dict(
-    vectorize=False, typed_columns=False, fuse=False, morsel_workers=1
-)
+_default_cache = {}
 
 
-def _oracle(federation, name, sql):
-    """Row-engine oracle result (all columnar machinery off)."""
-    if name not in _oracle_cache:
-        _oracle_cache[name] = federation.gis.query(
-            sql, PlannerOptions(**ORACLE_OPTIONS)
-        )
-    return _oracle_cache[name]
+def _default(federation, name, sql):
+    """The default configuration's result, its rows checked against the
+    reference interpreter the first time a query is seen."""
+    if name not in _default_cache:
+        result = federation.gis.query(sql)
+        _, reference = federation.gis.reference_query(sql)
+        assert_same_rows(result.rows, reference)
+        _default_cache[name] = result
+    return _default_cache[name]
 
 
 @pytest.mark.parametrize("batch_size", [1, 7, 1024])
@@ -388,79 +312,25 @@ def _oracle(federation, name, sql):
 def test_columnar_engine_equivalent_over_workload(
     federation, name, sql, batch_size, parallel
 ):
-    oracle = _oracle(federation, name, sql)
+    default = _default(federation, name, sql)
     result = federation.gis.query(
         sql,
         PlannerOptions(
             batch_size=batch_size, max_parallel_fragments=parallel
         ),
     )
-    assert result.rows == oracle.rows
+    assert result.rows == default.rows
     exact_floats = parallel == 1
     for metric in _INT_METRICS:
         actual = getattr(result.metrics.network, metric)
-        expected = getattr(oracle.metrics.network, metric)
+        expected = getattr(default.metrics.network, metric)
         assert actual == expected, metric
     for metric in _FLOAT_METRICS:
         actual = getattr(result.metrics.network, metric)
-        expected = getattr(oracle.metrics.network, metric)
+        expected = getattr(default.metrics.network, metric)
         if exact_floats:
             assert actual == expected, metric
         else:
             # Floats accumulate in worker-completion order under the
             # parallel scheduler; integer accounting above stays exact.
             assert actual == pytest.approx(expected), metric
-
-
-# Engine-mode sweep: typed columns × fusion × morsel workers. Every mode
-# must reproduce the oracle exactly — rows bit-for-bit AND all network
-# accounting including exact bytes (typed vectors are null-free 8-byte
-# values, so the wire sizer charges them identically to object vectors).
-ENGINE_MODES = [
-    ("typed-fused", dict(typed_columns=True, fuse=True, morsel_workers=1)),
-    ("typed-unfused", dict(typed_columns=True, fuse=False, morsel_workers=1)),
-    ("untyped-fused", dict(typed_columns=False, fuse=True, morsel_workers=1)),
-    (
-        "untyped-unfused",
-        dict(typed_columns=False, fuse=False, morsel_workers=1),
-    ),
-    (
-        "typed-fused-morsel4",
-        dict(typed_columns=True, fuse=True, morsel_workers=4),
-    ),
-    (
-        "untyped-unfused-morsel4",
-        dict(typed_columns=False, fuse=False, morsel_workers=4),
-    ),
-    (
-        "row-kernels-morsel4",
-        dict(
-            vectorize=False,
-            typed_columns=False,
-            fuse=False,
-            morsel_workers=4,
-        ),
-    ),
-]
-
-
-@pytest.mark.parametrize(
-    "mode_opts",
-    [opts for _, opts in ENGINE_MODES],
-    ids=[mode for mode, _ in ENGINE_MODES],
-)
-@pytest.mark.parametrize(
-    "name,sql", WORKLOAD_QUERIES, ids=[name for name, _ in WORKLOAD_QUERIES]
-)
-def test_engine_modes_bit_identical_to_row_oracle(
-    federation, name, sql, mode_opts
-):
-    oracle = _oracle(federation, name, sql)
-    result = federation.gis.query(
-        sql, PlannerOptions(batch_size=7, **mode_opts)
-    )
-    assert result.rows == oracle.rows
-    for metric in _INT_METRICS + _FLOAT_METRICS:
-        actual = getattr(result.metrics.network, metric)
-        expected = getattr(oracle.metrics.network, metric)
-        assert actual == expected, metric

@@ -190,6 +190,35 @@ class TestPlanCache:
         assert not other.metrics.network.plan_cache_hit
         assert gis.plan_cache.stats()["entries"] == 2
 
+    def test_cache_hit_rebuilds_the_physical_plan_a_fresh_plan_would(self):
+        # Both paths build operators through PhysicalPlanner.from_options,
+        # so every plan-shaping option reaches the hit path too: the
+        # merge join, the parallel exchanges and the Project-over-Filter
+        # chain print identically on a miss, a hit and an uncached plan.
+        from repro.obs.trace import NULL_SPAN, NULL_TRACER
+
+        gis = make_cached_gis()
+        options = PlannerOptions(
+            pushdown="scans-only", join_algorithm="merge",
+            max_parallel_fragments=4,
+        )
+        sql = (
+            "SELECT c.name, o.total * 2 FROM customers c "
+            "JOIN orders o ON c.id = o.cust_id WHERE o.total > 50"
+        )
+        miss, hit = gis._plan_for_query(sql, options, NULL_TRACER, NULL_SPAN)
+        assert not hit
+        rebound, hit = gis._plan_for_query(sql, options, NULL_TRACER, NULL_SPAN)
+        assert hit
+        assert rebound.explain() == miss.explain()
+        assert rebound.explain() == gis.planner.plan(sql, options).explain()
+        assert rebound.physical.explain().splitlines()[-3:] == [
+            "    Project",
+            "      Filter",
+            "        Exchange(source=erp, parallel)",
+        ]
+        assert "MergeJoin(INNER)" in rebound.physical.explain()
+
     def test_disabled_cache_is_inert(self):
         gis = make_small_gis()
         sql = "SELECT COUNT(*) FROM orders"
