@@ -1,6 +1,6 @@
 """CI chaos smoke: resilience invariants on a three-source federation.
 
-Four scripted scenarios, each a hard gate:
+Five scripted scenarios, each a hard gate:
 
 * **zero-overhead** — an armed-but-empty fault plan must leave rows and
   simulated-network accounting bit-identical to the fault-free baseline
@@ -12,7 +12,11 @@ Four scripted scenarios, each a hard gate:
   ``recover_after`` heals must fail queries first and then recover, with
   the injector's counters agreeing;
 * **deadline abort** — a hung source under a 50 ms deadline must raise
-  ``QueryTimeoutError`` promptly instead of hanging the query.
+  ``QueryTimeoutError`` promptly instead of hanging the query;
+* **bind-join retry** — a forced bind join whose bound source refuses its
+  first connection must return the fault-free rows with exactly one retry,
+  identically at ``max_parallel_fragments`` 1 (the caller's thread) and 4
+  (scheduler workers).
 
 The scenario table is written to ``benchmarks/results/chaos_smoke.txt``.
 Run directly::
@@ -50,6 +54,10 @@ SQL = (
     "SELECT a, src FROM t_alpha UNION ALL "
     "SELECT a, src FROM t_beta UNION ALL "
     "SELECT a, src FROM t_gamma"
+)
+BIND_SQL = (
+    "SELECT x.a, y.src FROM t_alpha x JOIN t_beta y ON x.a = y.a "
+    "WHERE x.a < 100"
 )
 
 
@@ -179,6 +187,32 @@ def scenario_deadline_abort(lines, failures):
     )
 
 
+def scenario_bind_join_retry(lines, failures):
+    expected = build().query(BIND_SQL, PlannerOptions(semijoin="force")).rows
+    plan = FaultPlan.of(beta=FaultSpec(fail_connect=1))
+    outcomes = {}
+    for parallel in (1, 4):
+        options = PlannerOptions(
+            semijoin="force", faults=plan, max_parallel_fragments=parallel
+        )
+        try:
+            result = build(retries=1).query(BIND_SQL, options)
+        except SourceError as exc:
+            outcomes[parallel] = f"{type(exc).__name__} on '{exc.source_name}'"
+            failures.append(f"bind join failed at parallel={parallel}: {exc}")
+            continue
+        retries = result.metrics.network.fragment_retries
+        outcomes[parallel] = f"{len(result.rows)} rows, {retries} retry"
+        if result.rows != expected or retries != 1:
+            failures.append(
+                f"bind join at parallel={parallel} returned "
+                f"{len(result.rows)}/{len(expected)} rows with {retries} retries"
+            )
+    lines.append(
+        f"bind-join retry: sequential {outcomes[1]}; parallel(4) {outcomes[4]}"
+    )
+
+
 def main() -> int:
     lines = ["== chaos smoke: scripted faults on a 3-source federation =="]
     failures = []
@@ -186,6 +220,7 @@ def main() -> int:
     scenario_dead_source(lines, failures)
     scenario_flapping_recovery(lines, failures)
     scenario_deadline_abort(lines, failures)
+    scenario_bind_join_retry(lines, failures)
     lines.append("")
 
     os.makedirs(os.path.dirname(RESULTS_PATH), exist_ok=True)

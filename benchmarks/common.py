@@ -33,7 +33,7 @@ def emit(name: str, title: str, lines: Iterable[str]) -> str:
 def emit_json(name: str, payload: Dict[str, Any]) -> str:
     """Persist a machine-readable result as ``results/<name>.json``.
 
-    ``name`` is the file stem (``BENCH_F6`` → ``BENCH_F6.json``); floats
+    ``name`` is the file stem (``BENCH_F7`` → ``BENCH_F7.json``); floats
     should be pre-rounded by the caller so diffs stay readable. Returns
     the path written.
     """

@@ -686,7 +686,6 @@ class GlobalInformationSystem:
         context = ExecutionContext(
             self.catalog,
             self.network,
-            fragment_retries=config.retry.retries,
             scheduler_config=config,
             breakers=self.breakers,
             batch_size=opts.batch_size,
@@ -701,9 +700,7 @@ class GlobalInformationSystem:
             health=self.health,
         )
         if config.scheduled:
-            context.scheduler = FragmentScheduler(
-                config, self.breakers, self.catalog
-            )
+            context.scheduler = FragmentScheduler(config)
             if config.parallel:
                 mode = f"parallel({config.max_parallel_fragments})"
             else:
@@ -797,7 +794,6 @@ class GlobalInformationSystem:
                     rows=list(cached.rows),
                     metrics=QueryMetrics(network=hit_metrics, wall_ms=0.0,
                                          planning_ms=0.0),
-                    explain_text=cached.explain_text,
                 )
                 self.obs.record_query(sql, hit.metrics)
                 if self.obs.registry.enabled:
@@ -827,7 +823,6 @@ class GlobalInformationSystem:
                     column_names=list(result.column_names),
                     rows=list(result.rows),
                     metrics=result.metrics,
-                    explain_text=result.explain_text,
                 )
                 while len(self._result_cache) > self._result_cache_size:
                     self._result_cache.popitem(last=False)
@@ -951,7 +946,6 @@ class GlobalInformationSystem:
             column_names=planned.output_names,
             rows=rows,
             metrics=metrics,
-            explain_text=planned.explain(),
             complete=not excluded,
             excluded_sources=excluded,
         )

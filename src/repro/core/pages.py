@@ -20,9 +20,8 @@ Design notes
   like a sequence of row tuples: ``len(page)`` is the row count,
   iterating yields row tuples, ``page[3]`` is a row, ``page[2:5]`` is a
   smaller :class:`Page`, and a page compares equal to the equivalent
-  ``list[tuple]``, so operators that only implement the row-at-a-time
-  ``iterate()`` and tests asserting on raw page contents work against
-  pages directly.
+  ``list[tuple]``, so row-wise algorithms and tests asserting on raw page
+  contents work against pages directly.
 
 * **Zero-column pages.** A projection of no columns (e.g. the inner
   input of ``COUNT(*)`` after pruning) still carries a row count;
@@ -164,8 +163,8 @@ def as_page(batch: Union[Page, Sequence[Row]], width: Optional[int] = None) -> P
 def chunk_rows(rows: Iterable[Row], size: int) -> Iterator[Page]:
     """Chunk a row *stream* into non-empty pages of at most ``size`` rows.
 
-    Dataflow chunker: used to adapt legacy row-at-a-time ``iterate()``
-    operators to the page protocol. Never yields an empty page (an empty
+    Dataflow chunker for operators whose algorithm emits rows one at a
+    time (merge join, sort, window). Never yields an empty page (an empty
     stream yields nothing) — empty pages are an adapter wire-protocol
     artifact, not a dataflow one.
     """

@@ -12,10 +12,8 @@ The physical planner maps each logical node onto an operator implementation:
 Operators pull **columnar pages** (:class:`~repro.core.pages.Page`: one
 Python list per column plus a row count, up to
 ``ExecutionContext.batch_size`` rows each) through Python generators:
-``iterate_batches`` is the native protocol every built-in operator
-implements, and ``iterate`` flattens pages into row tuples for direct
-callers (a subclass overriding only ``iterate`` is chunked transparently
-back into pages). Filters and projections run vectorized kernels straight
+``iterate_batches`` is the one protocol every operator implements.
+Filters and projections run vectorized kernels straight
 over the column vectors; joins and aggregation evaluate their
 key/argument expressions as whole columns and touch rows only where the
 algorithm is inherently row-wise.
@@ -30,7 +28,6 @@ batches, so a query's transfer metrics are bit-identical across batch sizes. All
 from __future__ import annotations
 
 import datetime
-import random
 import threading
 import time
 from dataclasses import dataclass, field
@@ -85,6 +82,7 @@ from .logical import (
     ValuesOp,
     WindowOp,
 )
+from .scheduler import SchedulerConfig, fetch_pages
 
 if TYPE_CHECKING:
     from .planner import PlannerOptions
@@ -143,16 +141,12 @@ class ExecutionMetrics:
 class ExecutionContext:
     """Runtime services shared by all operators of one query.
 
-    ``fragment_retries`` is how many times an exchange may re-issue a
-    fragment after a :class:`~repro.errors.SourceError`, provided no rows
-    have reached the mediator yet (re-running a half-consumed fragment
-    would duplicate rows).
-
-    ``scheduler_config`` / ``breakers`` arm the parallel fragment scheduler
-    and the per-source circuit breakers (see :mod:`repro.core.scheduler`);
-    both default to off, which is the byte-identical sequential engine.
-    Metrics accumulation is lock-protected because scheduler worker threads
-    charge transfers concurrently.
+    ``scheduler_config`` (default ``SchedulerConfig()``: sequential, no
+    retries) is what every fetch envelope reads — the retry policy, breaker
+    threshold and health routing — and ``breakers`` holds the per-source
+    circuit breakers (see :mod:`repro.core.scheduler`). Metrics
+    accumulation is lock-protected because scheduler worker threads charge
+    transfers concurrently.
 
     ``batch_size`` is the dataflow granularity: how many rows operators
     hand each other per ``iterate_batches`` step. It never affects network
@@ -173,8 +167,7 @@ class ExecutionContext:
         self,
         catalog: Catalog,
         network: SimulatedNetwork,
-        fragment_retries: int = 0,
-        scheduler_config=None,
+        scheduler_config: Optional[SchedulerConfig] = None,
         breakers=None,
         batch_size: int = DEFAULT_BATCH_ROWS,
         deadline=None,
@@ -185,8 +178,7 @@ class ExecutionContext:
     ) -> None:
         self.catalog = catalog
         self.network = network
-        self.fragment_retries = max(fragment_retries, 0)
-        self.scheduler_config = scheduler_config
+        self.scheduler_config = scheduler_config or SchedulerConfig()
         self.breakers = breakers
         #: The mediator's SourceHealthRegistry (repro.core.health), or
         #: None. Producers feed it page-fetch latencies and outcomes;
@@ -222,18 +214,9 @@ class ExecutionContext:
         """A span under this query's execute span (NULL when tracing is off)."""
         return self.tracer.child(self.trace_span, name, category, **attributes)
 
-    @property
-    def retry_policy(self):
-        """The effective retry policy (scheduler config, else legacy knob)."""
-        from .scheduler import RetryPolicy
-
-        if self.scheduler_config is not None:
-            return self.scheduler_config.retry
-        return RetryPolicy(retries=self.fragment_retries)
-
     def breaker_for(self, source_name: str):
         """This source's circuit breaker, or None when breakers are off."""
-        if self.breakers is None or self.scheduler_config is None:
+        if self.breakers is None:
             return None
         threshold = self.scheduler_config.breaker_threshold
         if threshold <= 0:
@@ -473,28 +456,17 @@ def _materialize_rows(child: "PhysicalOperator", ctx: "ExecutionContext") -> Lis
 class PhysicalOperator:
     """Base class: an output schema plus a pull-based page stream.
 
-    ``iterate_batches`` is the native protocol (all built-in operators
-    override it and exchange :class:`Page` objects); ``iterate`` flattens
-    pages into row tuples. A subclass may override *only* ``iterate`` —
-    the base ``iterate_batches`` detects that and chunks the row stream
-    into pages of ``ctx.batch_size``.
+    Every operator implements ``iterate_batches``, which yields
+    :class:`Page` objects of at most ``ctx.batch_size`` rows.
     """
 
     def __init__(self, columns: Sequence[RelColumn]) -> None:
         self.columns = list(columns)
 
     def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        if type(self).iterate is not PhysicalOperator.iterate:
-            # Legacy operator: only the row stream exists; chunk it.
-            yield from chunk_rows(self.iterate(ctx), ctx.batch_size)
-            return
         raise NotImplementedError(
-            f"{type(self).__name__} implements neither iterate_batches nor iterate"
+            f"{type(self).__name__} does not implement iterate_batches"
         )
-
-    def iterate(self, ctx: ExecutionContext) -> Iterator[Row]:
-        for batch in self.iterate_batches(ctx):
-            yield from batch
 
     def describe(self) -> str:
         return type(self).__name__.replace("Exec", "")
@@ -531,54 +503,6 @@ class PhysicalOperator:
             yield from child.walk()
 
 
-def instrument_row_counts(
-    root: PhysicalOperator,
-    batch_counts: Optional[Dict[int, int]] = None,
-) -> Dict[int, int]:
-    """Wrap every operator's batch stream to count produced rows.
-
-    Returns the (initially zeroed) ``id(op) -> rows`` map that fills in
-    during execution — the EXPLAIN ANALYZE mechanism. Pass ``batch_counts``
-    to additionally collect ``id(op) -> batches`` produced. Exactly one
-    layer is wrapped per operator: ``iterate_batches`` when the operator
-    implements it natively, else the legacy ``iterate`` (whose batch counts
-    stay 0) — so rows are never double-counted through the shim. Wrapping
-    mutates the given tree's instances, which are per-plan and never reused.
-    """
-    counts: Dict[int, int] = {}
-
-    def wrap(op: PhysicalOperator) -> None:
-        counts[id(op)] = 0
-        if batch_counts is not None:
-            batch_counts[id(op)] = 0
-        if type(op).iterate_batches is PhysicalOperator.iterate_batches and (
-            type(op).iterate is not PhysicalOperator.iterate
-        ):
-            original_rows = op.iterate
-
-            def counted_rows(ctx: ExecutionContext, _original=original_rows, _key=id(op)):
-                for row in _original(ctx):
-                    counts[_key] += 1
-                    yield row
-
-            op.iterate = counted_rows  # type: ignore[method-assign]
-            return
-        original = op.iterate_batches
-
-        def counted(ctx: ExecutionContext, _original=original, _key=id(op)):
-            for batch in _original(ctx):
-                counts[_key] += len(batch)
-                if batch_counts is not None:
-                    batch_counts[_key] += 1
-                yield batch
-
-        op.iterate_batches = counted  # type: ignore[method-assign]
-
-    for operator in root.walk():
-        wrap(operator)
-    return counts
-
-
 @dataclass
 class OperatorProfile:
     """Execution actuals for one physical operator.
@@ -602,10 +526,7 @@ def profile_operators(
     the EXPLAIN ANALYZE / per-operator tracing mechanism. When a live
     ``tracer`` and ``parent`` span are given, each operator additionally
     emits one span covering its first pull through exhaustion, annotated
-    with its actuals. Like :func:`instrument_row_counts`, exactly one
-    layer is wrapped per operator (native ``iterate_batches``, else the
-    legacy ``iterate``, whose batch counts stay 0), and wrapping mutates
-    the per-plan operator instances.
+    with its actuals. Wrapping mutates the per-plan operator instances.
     """
     tracer = tracer or NULL_TRACER
     parent = parent if parent is not None else NULL_SPAN
@@ -615,13 +536,9 @@ def profile_operators(
     def wrap(op: PhysicalOperator) -> None:
         profile = profiles[id(op)] = OperatorProfile()
         label = op.describe()
-        legacy = type(op).iterate_batches is PhysicalOperator.iterate_batches and (
-            type(op).iterate is not PhysicalOperator.iterate
-        )
-        original = op.iterate if legacy else op.iterate_batches
 
-        def profiled(ctx: ExecutionContext, _original=original,
-                     _profile=profile, _label=label, _legacy=legacy):
+        def profiled(ctx: ExecutionContext, _original=op.iterate_batches,
+                     _profile=profile, _label=label):
             span = tracer.child(parent, f"op:{_label}", "operator")
             iterator = _original(ctx)
             elapsed = 0.0
@@ -634,11 +551,8 @@ def profile_operators(
                         elapsed += clock() - started
                         return
                     elapsed += clock() - started
-                    if _legacy:
-                        _profile.rows += 1
-                    else:
-                        _profile.batches += 1
-                        _profile.rows += len(item)
+                    _profile.batches += 1
+                    _profile.rows += len(item)
                     yield item
             finally:
                 _profile.wall_ms += elapsed * 1000.0
@@ -648,10 +562,7 @@ def profile_operators(
                     span.set_attribute("busy_ms", round(_profile.wall_ms, 3))
                     span.end()
 
-        if legacy:
-            op.iterate = profiled  # type: ignore[method-assign]
-        else:
-            op.iterate_batches = profiled  # type: ignore[method-assign]
+        op.iterate_batches = profiled  # type: ignore[method-assign]
 
     for operator in root.walk():
         wrap(operator)
@@ -742,111 +653,18 @@ class ExchangeExec(PhysicalOperator):
             yield batch
 
     def _direct_pages(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        """The sequential path, wrapped in the robustness envelope
-        (breaker gate + backoff) when those knobs are armed. Yields the
-        fragment's charged pages in order."""
-        from .scheduler import health_route, replica_fallback, sleep_ms
-
+        """The fragment's charged pages, fetched through the robustness
+        envelope on the caller's thread."""
         ctx.metrics.fragments_executed += 1
-        policy = ctx.retry_policy
-        adapter, fragment = self.adapter, self.fragment
-        source = fragment.source_name
-        health = ctx.health
-        config = ctx.scheduler_config
-        if (
-            config is not None
-            and config.health_routing
-            and ctx.breakers is not None
-        ):
-            routed = health_route(ctx.catalog, fragment, ctx.breakers, health)
-            if routed is not None:
-                ctx.trace_span.event(
-                    "health-route", primary=source, replica=routed[0],
-                )
-                source, adapter, fragment = routed
-                ctx.add_metric("health_reroutes", 1)
-        sizer = self._sizer
-        rng = random.Random(f"{source}:direct")
-        attempt = 0
+        source = self.fragment.source_name
         span = ctx.trace_child(
             f"fragment:{source}", "fragment", source=source, mode="sequential"
         )
         try:
-            while True:
-                ctx.check_deadline(source)
-                breaker = ctx.breaker_for(source)
-                if breaker is not None and not breaker.allow():
-                    fallback = (
-                        replica_fallback(ctx.catalog, fragment, ctx.breakers)
-                        if ctx.breakers is not None
-                        else None
-                    )
-                    if fallback is None:
-                        raise SourceError(
-                            source,
-                            "circuit breaker open; no healthy replica registered "
-                            "(failing fast)",
-                        )
-                    source, adapter, fragment = fallback
-                    ctx.add_metric("breaker_fallbacks", 1)
-                    span.event("replica-fallback", source=source)
-                    span.set_attribute("source", source)
-                    continue  # re-evaluate the replica's own breaker
-                produced = False
-                try:
-                    page_started = time.monotonic()
-                    for page in ctx.execute_pages(adapter, fragment, self.page_rows):
-                        if health is not None:
-                            health.observe_latency(
-                                source,
-                                (time.monotonic() - page_started) * 1000.0,
-                            )
-                        # Every page — including the final (possibly empty)
-                        # one — costs a round trip; an empty result still
-                        # charges one message.
-                        ctx.charge_transfer(source, page, 1, sizer)
-                        span.event("page", rows=len(page))
-                        if page:
-                            yield page
-                            produced = True
-                        # Downstream operators run between pages; do not
-                        # charge their time to the source's latency.
-                        page_started = time.monotonic()
-                except SourceError as exc:
-                    if health is not None:
-                        health.record_error(source)
-                    if breaker is not None and breaker.record_failure():
-                        ctx.add_metric("breaker_trips", 1)
-                        span.event("breaker-trip", source=source)
-                    # Retry is only safe before any row reached the consumer,
-                    # only for transient failures, and only when the backoff
-                    # delay still fits inside the query's deadline budget.
-                    retryable = getattr(exc, "retryable", True)
-                    if produced or not retryable or attempt >= policy.retries:
-                        span.set_attribute("error", repr(exc))
-                        if not retryable:
-                            span.set_attribute("permanent", True)
-                        raise
-                    attempt += 1
-                    delay = policy.delay_ms(attempt, rng)
-                    deadline = ctx.deadline
-                    if deadline is not None and deadline.remaining_ms() <= delay:
-                        span.event(
-                            "retry-abandoned", attempt=attempt,
-                            delay_ms=round(delay, 3),
-                            remaining_ms=round(deadline.remaining_ms(), 3),
-                        )
-                        span.set_attribute("error", repr(exc))
-                        raise
-                    ctx.metrics.fragment_retries += 1
-                    span.event("retry", attempt=attempt, delay_ms=round(delay, 3))
-                    sleep_ms(delay)
-                    continue
-                if breaker is not None:
-                    breaker.record_success()
-                if health is not None:
-                    health.record_success(source)
-                return
+            yield from fetch_pages(
+                ctx, self.adapter, self.fragment, self.page_rows, span,
+                "direct", sizer=self._sizer,
+            )
         finally:
             span.end()
 
@@ -1443,38 +1261,24 @@ class BindJoinExec(PhysicalOperator):
             for task in tasks:
                 yield from ctx.scheduler.stream_pages(task, ctx)
             return
-        breaker = ctx.breaker_for(source)
-        if breaker is not None and not breaker.allow():
-            raise SourceError(
-                source,
-                "circuit breaker open; no healthy replica registered "
-                "(failing fast)",
-            )
         span = ctx.trace_child(
             f"fragment:{source}", "fragment", source=source, mode="bindjoin",
             key_batches=len(batches),
         )
         try:
-            for batch in batches:
+            # One envelope per key batch, as the scheduler gives each
+            # batch its own task: a batch retries, falls back or fails on
+            # its own, after earlier batches' rows were consumed.
+            for number, batch in enumerate(batches):
                 ctx.metrics.semijoin_batches += 1
                 ctx.charge_request(source, key_sizer(batch))
                 span.event("key-batch", keys=len(batch))
-                fragment = self._batch_fragment(batch)
-                for page in ctx.execute_pages(self.adapter, fragment, self.page_rows):
-                    ctx.charge_transfer(source, page, 1, sizer)
-                    span.event("page", rows=len(page))
-                    if page:
-                        yield page
-        except SourceError as exc:
-            if breaker is not None and breaker.record_failure():
-                ctx.add_metric("breaker_trips", 1)
-                span.event("breaker-trip", source=source)
-            span.set_attribute("error", repr(exc))
-            raise
+                yield from fetch_pages(
+                    ctx, self.adapter, self._batch_fragment(batch),
+                    self.page_rows, span, f"bind{number}", sizer=sizer,
+                )
         finally:
             span.end()
-        if breaker is not None:
-            breaker.record_success()
 
 
 class HashAggregateExec(PhysicalOperator):

@@ -95,14 +95,12 @@ class QueryResult:
         column_names: List[str],
         rows: List[Tuple[Any, ...]],
         metrics: QueryMetrics,
-        explain_text: str = "",
         complete: bool = True,
         excluded_sources: Optional[Dict[str, str]] = None,
     ) -> None:
         self.column_names = column_names
         self.rows = rows
         self.metrics = metrics
-        self.explain_text = explain_text
         self.complete = complete
         self.excluded_sources = dict(excluded_sources or {})
 

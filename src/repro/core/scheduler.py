@@ -9,25 +9,30 @@ through bounded queues (pipelined — the consumer joins while producers are
 still fetching), and a global plus per-source concurrency cap bounds the
 fan-out.
 
-Every source call runs inside a **robustness envelope**:
+Every source call — a sequential scan on the caller's thread, a bind-join
+key batch, or a scheduler worker — runs inside one **robustness
+envelope**, the :func:`fetch_pages` generator:
 
-* **timeout** — a fragment that makes no progress for
-  ``fragment_timeout_ms`` raises :class:`~repro.errors.SourceError` instead
-  of hanging the query (the stuck worker is abandoned; threads are daemons);
-* **retry with exponential backoff + jitter** (:class:`RetryPolicy`) —
-  generalizes the old immediate before-first-page retry. A fragment is
-  re-issued only while no page has reached the mediator, so a retry can
-  never duplicate rows;
+* **health routing** — a fragment may be dispatched to a markedly
+  healthier replica (:func:`health_route`);
 * **circuit breaker** (:class:`CircuitBreaker`) — consecutive failures trip
   a per-source breaker; further calls fail fast (or reroute to a registered
   replica via :func:`replica_fallback`) until a reset period elapses, after
-  which a single half-open probe decides whether to close it again.
+  which a single half-open probe decides whether to close it again;
+* **retry with exponential backoff + jitter** (:class:`RetryPolicy`) — a
+  fragment is re-issued only while no page has reached the consumer, so a
+  retry can never duplicate rows;
+* **health accounting** — page latencies and outcomes feed the source's
+  health tracker.
 
-Sequential execution (``max_parallel_fragments=1`` and no timeout) never
-constructs a scheduler and is byte-for-byte the old code path, so all
-deterministic benchmarks keep their semantics. Parallel mode returns
-bit-identical rows: each exchange's page order is preserved and operators
-drain exchanges in the same order as before — only wall-clock time and the
+The scheduler adds what needs a second thread: the no-progress
+**timeout** (a fragment that makes no progress for ``fragment_timeout_ms``
+raises :class:`~repro.errors.SourceError` instead of hanging the query; the
+stuck worker is abandoned, threads are daemons) and first-page hedging.
+Without those knobs and at ``max_parallel_fragments=1`` no scheduler is
+constructed and the envelope runs on the caller's thread. Parallel mode
+returns bit-identical rows: each exchange's page order is preserved and
+operators drain exchanges in the same order — only wall-clock time and the
 interleaving of network charges change.
 """
 
@@ -38,12 +43,13 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, Iterator, List, Optional, Set, Tuple
 
 from ..errors import SourceError
 from ..obs.trace import NULL_SPAN
 from .fragments import Fragment
 from .logical import ScanOp, transform_plan
+from .pages import Page
 
 Row = Tuple[Any, ...]
 
@@ -485,6 +491,168 @@ def health_route(catalog, fragment: Fragment, breakers, health):
 
 
 # ---------------------------------------------------------------------------
+# the fetch envelope
+# ---------------------------------------------------------------------------
+
+
+def _never() -> bool:
+    return False
+
+
+def _acquire(semaphore: threading.Semaphore, cancelled) -> bool:
+    """Take an admission slot, polling so cancellation is noticed promptly;
+    False once ``cancelled()`` holds."""
+    while not cancelled():
+        if semaphore.acquire(timeout=_POLL_S):
+            return True
+    return False
+
+
+def fetch_pages(
+    ctx,
+    adapter,
+    fragment: Fragment,
+    page_rows: int,
+    span,
+    seed,
+    *,
+    sizer=None,
+    clock=time.monotonic,
+    slot_for=None,
+    cancelled=_never,
+    route: bool = True,
+    on_route=None,
+    on_charge=None,
+) -> Generator[Page, None, None]:
+    """Fetch one fragment's non-empty pages inside the robustness envelope.
+
+    The only caller of ``ctx.execute_pages``. In order: health routing
+    (when ``route`` and ``health_routing`` are set), then per attempt the
+    query-deadline gate, the breaker gate with :func:`replica_fallback`,
+    the page loop (health latency per page, one network charge per page
+    including the final empty one), and on a :class:`SourceError` before
+    the first yielded page a :class:`RetryPolicy` backoff and re-issue.
+    The last attempt's outcome feeds the breaker and health tracker.
+    Errors propagate to the consumer.
+
+    What differs between callers comes in as arguments: ``span`` is the
+    caller's fragment span (events and attributes only — the caller ends
+    it); the retry jitter stream is ``Random(f"{source}:{seed}")`` over the
+    dispatched source; ``clock`` times page latencies; ``slot_for(source)``
+    returns a per-source admission semaphore held across one attempt;
+    ``cancelled()`` makes the generator return quietly, checked before
+    each attempt and before charging each page; ``on_route(fragment)``
+    learns the fragment health routing dispatched instead;
+    ``on_charge(page, elapsed_ms)`` sees each charged page with its
+    simulated transfer time.
+    """
+    config = ctx.scheduler_config
+    health = ctx.health
+    deadline = ctx.deadline
+    source = fragment.source_name
+    if route and config.health_routing:
+        routed = health_route(ctx.catalog, fragment, ctx.breakers, health)
+        if routed is not None:
+            ctx.trace_span.event(
+                "health-route", primary=source, replica=routed[0],
+            )
+            source, adapter, fragment = routed
+            span.set_attribute("source", source)
+            ctx.add_metric("health_reroutes", 1)
+            if on_route is not None:
+                on_route(fragment)
+    rng = random.Random(f"{source}:{seed}")
+    attempt = 0
+    while not cancelled():
+        if deadline is not None and deadline.expired():
+            span.event("deadline", budget_ms=deadline.budget_ms)
+            raise ctx.deadline_error(source)
+        breaker = ctx.breaker_for(source)
+        if breaker is not None and not breaker.allow():
+            fallback = replica_fallback(ctx.catalog, fragment, ctx.breakers)
+            if fallback is None:
+                span.set_attribute("error", "circuit breaker open")
+                raise SourceError(
+                    source,
+                    "circuit breaker open; no healthy replica registered "
+                    "(failing fast)",
+                )
+            source, adapter, fragment = fallback
+            ctx.add_metric("breaker_fallbacks", 1)
+            span.event("replica-fallback", source=source)
+            span.set_attribute("source", source)
+            continue  # re-evaluate the replica's own breaker
+        slot = slot_for(source) if slot_for is not None else None
+        if slot is not None and not _acquire(slot, cancelled):
+            return
+        produced = False
+        try:
+            # The adapter's page contract: zero or more full pages, then
+            # exactly one final partial (possibly empty) page. Every page
+            # — including the trailing empty one that says "result
+            # complete" — costs one response message on the wire.
+            page_started = clock()
+            for page in ctx.execute_pages(adapter, fragment, page_rows):
+                if health is not None:
+                    health.observe_latency(
+                        source, (clock() - page_started) * 1000.0
+                    )
+                if cancelled():
+                    return
+                elapsed_ms = ctx.charge_transfer(source, page, 1, sizer)
+                if on_charge is not None:
+                    on_charge(page, elapsed_ms)
+                span.event("page", rows=len(page))
+                if page:
+                    yield page
+                    produced = True
+                # Restart the fetch clock after the consumer has taken the
+                # page, so downstream work and queue backpressure are never
+                # charged to the source's latency profile.
+                page_started = clock()
+        except SourceError as exc:
+            if health is not None:
+                health.record_error(source)
+            if breaker is not None and breaker.record_failure():
+                ctx.add_metric("breaker_trips", 1)
+                span.event("breaker-trip", source=source)
+            # Retry is only safe before any row reached the consumer, only
+            # for transient failures, and only when the backoff delay
+            # still fits inside the query's deadline budget.
+            retryable = getattr(exc, "retryable", True)
+            if produced or not retryable or attempt >= config.retry.retries:
+                span.set_attribute("error", repr(exc))
+                if not retryable:
+                    span.set_attribute("permanent", True)
+                raise
+            attempt += 1
+            delay = config.retry.delay_ms(attempt, rng)
+            if deadline is not None and deadline.remaining_ms() <= delay:
+                span.event(
+                    "retry-abandoned", attempt=attempt,
+                    delay_ms=round(delay, 3),
+                    remaining_ms=round(deadline.remaining_ms(), 3),
+                )
+                span.set_attribute("error", repr(exc))
+                raise
+            ctx.add_metric("fragment_retries", 1)
+            span.event("retry", attempt=attempt, delay_ms=round(delay, 3))
+            sleep_ms(delay)
+            continue
+        except Exception as exc:  # planner/adapter bugs: annotate, re-raise
+            span.set_attribute("error", repr(exc))
+            raise
+        finally:
+            if slot is not None:
+                slot.release()
+        if breaker is not None:
+            breaker.record_success()
+        if health is not None:
+            health.record_success(source)
+        return
+
+
+# ---------------------------------------------------------------------------
 # the scheduler
 # ---------------------------------------------------------------------------
 
@@ -552,16 +720,8 @@ class FragmentScheduler:
     fragment times out — the only safe option against a hung source.
     """
 
-    def __init__(
-        self,
-        config: SchedulerConfig,
-        breakers: Optional[CircuitBreakerRegistry],
-        catalog,
-        clock=time.monotonic,
-    ) -> None:
+    def __init__(self, config: SchedulerConfig, clock=time.monotonic) -> None:
         self._config = config
-        self._breakers = breakers
-        self._catalog = catalog
         self._clock = clock
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -732,8 +892,7 @@ class FragmentScheduler:
     ) -> "Optional[_FragmentTask]":
         """Start the duplicate fetch on the healthiest admitted replica."""
         target = hedge_target(
-            self._catalog, primary.fragment, self._breakers,
-            getattr(ctx, "health", None),
+            ctx.catalog, primary.fragment, ctx.breakers, ctx.health
         )
         if target is None:
             return None
@@ -922,34 +1081,32 @@ class FragmentScheduler:
                 self._source_slots[key] = slot
             return slot
 
-    def _acquire(self, semaphore: threading.Semaphore, task: _FragmentTask) -> bool:
-        while not (self._stop.is_set() or task.cancelled):
-            if semaphore.acquire(timeout=_POLL_S):
-                return True
-        return False
-
     def _produce(self, task: _FragmentTask, ctx) -> None:
+        def cancelled() -> bool:
+            return self._stop.is_set() or task.cancelled
+
         # A hedge must run while the straggling primary still holds its
         # worker slot — under the global cap, max_parallel_fragments=1
         # would quietly disable hedging. Hedge concurrency is bounded by
         # the number of in-flight races (at most one per consumer), so
         # bypassing the cap cannot stampede the pool; per-source
         # admission still applies inside the envelope.
-        if not task.hedge and not self._acquire(self._global_slots, task):
+        if not task.hedge and not _acquire(self._global_slots, cancelled):
             return
         try:
             with self._lock:
                 self._in_flight += 1
                 self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
-            self._run_envelope(task, ctx)
+            self._run_envelope(task, ctx, cancelled)
         finally:
             with self._lock:
                 self._in_flight -= 1
             if not task.hedge:
                 self._global_slots.release()
 
-    def _run_envelope(self, task: _FragmentTask, ctx) -> None:
-        """Execute one fragment inside the robustness envelope.
+    def _run_envelope(self, task: _FragmentTask, ctx, cancelled) -> None:
+        """Run one fragment's :func:`fetch_pages` envelope on this worker,
+        queueing its pages, then its end or its error, for the consumer.
 
         The trace span is opened here, on the worker thread, under the
         parent captured from the submitting query's context
@@ -957,23 +1114,7 @@ class FragmentScheduler:
         It is also activated thread-locally so any nested instrumentation
         on this worker parents correctly.
         """
-        config = self._config
-        adapter, fragment = task.adapter, task.fragment
-        source = fragment.source_name
-        if config.health_routing and not task.hedge:
-            routed = health_route(
-                self._catalog, fragment, self._breakers,
-                getattr(ctx, "health", None),
-            )
-            if routed is not None:
-                ctx.trace_span.event(
-                    "health-route", primary=source, replica=routed[0],
-                )
-                source, adapter, fragment = routed
-                task.fragment = fragment
-                ctx.add_metric("health_reroutes", 1)
-        rng = random.Random(f"{source}:{task.index}")
-        attempt = 0
+        source = task.fragment.source_name
         span = ctx.trace_child(
             f"fragment:{source}", "fragment",
             source=source, mode="parallel", worker=task.index,
@@ -981,126 +1122,34 @@ class FragmentScheduler:
         if task.hedge:
             span.set_attribute("hedge", True)
         task.span = span
+
+        def routed(fragment: Fragment) -> None:
+            task.fragment = fragment
+
+        def charged(page, elapsed_ms: float) -> None:
+            task.virtual_ms += elapsed_ms
+            if task.hedge:
+                ctx.add_metric("hedges_rows_shipped", len(page))
+                if task.sizer is not None:
+                    ctx.add_metric("hedges_bytes_shipped", task.sizer(page))
+
+        pages = fetch_pages(
+            ctx, task.adapter, task.fragment, task.page_rows, span, task.index,
+            sizer=task.sizer, clock=self._clock, slot_for=self._source_slot,
+            cancelled=cancelled, route=not task.hedge, on_route=routed,
+            on_charge=charged,
+        )
+        item: Tuple[str, Any]
         with ctx.tracer.activate(span):
             try:
-                self._envelope_loop(
-                    task, ctx, adapter, fragment, source, rng, attempt, config,
-                    span,
-                )
-            finally:
-                span.end()
-
-    def _envelope_loop(
-        self, task, ctx, adapter, fragment, source, rng, attempt, config, span
-    ) -> None:
-        deadline: Optional[Deadline] = getattr(ctx, "deadline", None)
-        health = getattr(ctx, "health", None)
-        while not (self._stop.is_set() or task.cancelled):
-            if deadline is not None and deadline.expired():
-                # Unblock the consumer promptly rather than going silent.
-                task.done = True
-                span.event("deadline", budget_ms=deadline.budget_ms)
-                task.put(("error", ctx.deadline_error(source)), self._stop)
-                return
-            breaker = ctx.breaker_for(source)
-            if breaker is not None and not breaker.allow():
-                fallback = replica_fallback(self._catalog, fragment, self._breakers)
-                if fallback is None:
-                    task.done = True
-                    span.set_attribute("error", "circuit breaker open")
-                    task.put(
-                        ("error", SourceError(
-                            source,
-                            "circuit breaker open; no healthy replica "
-                            "registered (failing fast)",
-                        )),
-                        self._stop,
-                    )
-                    return
-                source, adapter, fragment = fallback
-                ctx.add_metric("breaker_fallbacks", 1)
-                span.event("replica-fallback", source=source)
-                span.set_attribute("source", source)
-                continue  # re-evaluate the replica's own breaker
-            slot = self._source_slot(source)
-            if not self._acquire(slot, task):
-                return
-            produced = False
-            try:
-                # The adapter's page contract: zero or more full pages, then
-                # exactly one final partial (possibly empty) page. Every page
-                # — including the trailing empty one that says "result
-                # complete" — costs one response message on the wire.
-                page_started = self._clock()
-                for page in ctx.execute_pages(adapter, fragment, task.page_rows):
-                    if health is not None:
-                        now = self._clock()
-                        health.observe_latency(
-                            source, (now - page_started) * 1000.0
-                        )
-                    if self._stop.is_set() or task.cancelled:
+                for page in pages:
+                    if not task.put(("rows", page), self._stop):
                         return
-                    task.virtual_ms += ctx.charge_transfer(
-                        source, page, 1, task.sizer
-                    )
-                    if task.hedge:
-                        ctx.add_metric("hedges_rows_shipped", len(page))
-                        if task.sizer is not None:
-                            ctx.add_metric(
-                                "hedges_bytes_shipped", task.sizer(page)
-                            )
-                    span.event("page", rows=len(page))
-                    if page:
-                        if not task.put(("rows", page), self._stop):
-                            return
-                        produced = True
-                    # Restart the fetch clock after the (possibly blocking)
-                    # queue hand-off, so consumer backpressure is never
-                    # charged to the source's latency profile.
-                    page_started = self._clock()
-            except SourceError as exc:
-                if health is not None:
-                    health.record_error(source)
-                if breaker is not None and breaker.record_failure():
-                    ctx.add_metric("breaker_trips", 1)
-                    span.event("breaker-trip", source=source)
-                retryable = getattr(exc, "retryable", True)
-                if produced or not retryable or attempt >= config.retry.retries:
-                    task.done = True
-                    span.set_attribute("error", repr(exc))
-                    if not retryable:
-                        span.set_attribute("permanent", True)
-                    task.put(("error", exc), self._stop)
-                    return
-                attempt += 1
-                delay = config.retry.delay_ms(attempt, rng)
-                if deadline is not None and deadline.remaining_ms() <= delay:
-                    # A retry that cannot finish inside the budget is not
-                    # issued; the source failure stands as-is.
-                    task.done = True
-                    span.event(
-                        "retry-abandoned", attempt=attempt,
-                        delay_ms=round(delay, 3),
-                        remaining_ms=round(deadline.remaining_ms(), 3),
-                    )
-                    span.set_attribute("error", repr(exc))
-                    task.put(("error", exc), self._stop)
-                    return
-                ctx.add_metric("fragment_retries", 1)
-                span.event("retry", attempt=attempt, delay_ms=round(delay, 3))
-                sleep_ms(delay)
-                continue
-            except BaseException as exc:  # surface planner/adapter bugs
-                task.done = True
-                span.set_attribute("error", repr(exc))
-                task.put(("error", exc), self._stop)
-                return
+                item = ("end", None)
+            except BaseException as exc:  # re-raised on the consumer thread
+                item = ("error", exc)
             finally:
-                slot.release()
-            if breaker is not None:
-                breaker.record_success()
-            if health is not None:
-                health.record_success(source)
-            task.done = True
-            task.put(("end", None), self._stop)
-            return
+                pages.close()
+                span.end()
+        task.done = True
+        task.put(item, self._stop)

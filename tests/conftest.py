@@ -84,6 +84,11 @@ def federation():
     return build_federation(scale=0.5, seed=7, keep_rows=True)
 
 
+def drain(op, ctx):
+    """An operator's rows in order, flattened from its page stream."""
+    return [row for batch in op.iterate_batches(ctx) for row in batch]
+
+
 def assert_same_rows(actual, expected):
     """Order-insensitive multiset comparison with float tolerance.
 

@@ -22,12 +22,11 @@ from repro.core.expressions import (
 from repro.core.logical import RelColumn
 from repro.core.physical import (
     ExecutionContext,
-    PhysicalOperator,
     StaticRowsExec,
     _row_bytes,
     chunk_rows,
-    instrument_row_counts,
     make_batch_sizer,
+    profile_operators,
     split_batches,
 )
 from repro.core.pages import Page, paginate_rows
@@ -35,7 +34,7 @@ from repro.datatypes import DataType
 from repro.errors import PlanError
 from repro.sql import ast
 
-from .conftest import make_small_gis
+from .conftest import drain, make_small_gis
 
 GIS = make_small_gis()
 
@@ -175,57 +174,30 @@ class TestBatchSizer:
 
 
 # ---------------------------------------------------------------------------
-# legacy row-only operators keep working through the shim
+# the page protocol: chunking, flattening, profiling
 # ---------------------------------------------------------------------------
 
 
-class LegacyRowsExec(PhysicalOperator):
-    """An operator written against the old row-pull protocol only."""
-
-    def __init__(self, rows, cols):
-        super().__init__(cols)
-        self._rows = rows
-
-    def children(self):
-        return []
-
-    def describe(self):
-        return "LegacyRows"
-
-    def iterate(self, ctx):
-        yield from self._rows
-
-
-class TestLegacyCompatibility:
-    def test_base_iterate_batches_chunks_legacy_rows(self):
+class TestPageProtocol:
+    def test_batches_chunk_to_batch_size(self):
         rows = [(i,) for i in range(10)]
-        op = LegacyRowsExec(rows, columns(("a", INT)))
+        op = StaticRowsExec(rows, columns(("a", INT)))
         batches = list(op.iterate_batches(ctx(batch_size=4)))
         assert [len(b) for b in batches] == [4, 4, 2]
         assert [row for batch in batches for row in batch] == rows
 
-    def test_native_iterate_shim_flattens_batches(self):
+    def test_drain_flattens_batches(self):
         rows = [(i,) for i in range(10)]
         op = StaticRowsExec(rows, columns(("a", INT)))
-        assert list(op.iterate(ctx(batch_size=3))) == rows
+        assert drain(op, ctx(batch_size=3)) == rows
 
-    def test_instrument_counts_each_layer_once(self):
+    def test_profile_counts_rows_and_batches_once(self):
         rows = [(i,) for i in range(10)]
-        for op in (
-            LegacyRowsExec(rows, columns(("a", INT))),
-            StaticRowsExec(rows, columns(("a", INT))),
-        ):
-            batch_counts = {}
-            counts = instrument_row_counts(op, batch_counts)
-            consumed = [
-                row
-                for batch in op.iterate_batches(ctx(batch_size=4))
-                for row in batch
-            ]
-            assert consumed == rows
-            assert counts[id(op)] == len(rows)
-        # The native operator reports its batches; the legacy one cannot.
-        assert batch_counts[id(op)] == 3
+        op = StaticRowsExec(rows, columns(("a", INT)))
+        profiles = profile_operators(op)
+        assert drain(op, ctx(batch_size=4)) == rows
+        assert profiles[id(op)].rows == len(rows)
+        assert profiles[id(op)].batches == 3
 
 
 # ---------------------------------------------------------------------------

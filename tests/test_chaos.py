@@ -1,8 +1,9 @@
 """Chaos fuzzing: scripted faults may degrade or fail a query — never lie.
 
 Every scenario drives the same three-source federation through a seeded
-:class:`FaultPlan` and asserts the resilience invariant. The outcome must
-be one of exactly three things:
+:class:`FaultPlan` and asserts the resilience invariant, over a three-way
+``UNION ALL`` or (on odd seeds of the sweep) a forced bind join. The
+outcome must be one of exactly three things:
 
 (a) a complete answer bit-identical to the fault-free rows,
 (b) an honestly-flagged partial result whose ``excluded_sources`` name
@@ -45,6 +46,13 @@ SQL = (
 
 EXPECTED = {name: [(i, name) for i in range(ROWS_EACH)] for name in SOURCES}
 ALL_ROWS = Counter(row for rows in EXPECTED.values() for row in rows)
+#: Forced bind join: alpha's 12 filtered keys go to beta as one key batch,
+#: whose 12 rows come back in two pages, so mid-stream faults bite too.
+BIND_SQL = (
+    "SELECT x.a, y.src FROM t_alpha x JOIN t_beta y ON x.a = y.a "
+    "WHERE x.a < 12"
+)
+BIND_ROWS = Counter((i, "beta") for i in range(12))
 
 
 def build_federation(retries=0):
@@ -93,15 +101,18 @@ def random_plan(rng, seed):
     return FaultPlan.of(seed=seed, **specs)
 
 
-def check_invariant(plan, mode, retries, parallel):
-    """Run one scenario and enforce the tri-outcome invariant."""
+def check_invariant(plan, mode, retries, parallel, bind=False):
+    """Run one scenario and enforce the tri-outcome invariant; ``bind``
+    runs the forced bind join instead of the union."""
     gis = build_federation(retries=retries)
     options = PlannerOptions(
-        faults=plan, on_source_failure=mode, max_parallel_fragments=parallel
+        faults=plan, on_source_failure=mode, max_parallel_fragments=parallel,
+        semijoin="force" if bind else "auto",
     )
+    sql, expected = (BIND_SQL, BIND_ROWS) if bind else (SQL, ALL_ROWS)
     faulted = set(plan.faulted_sources)
     try:
-        result = gis.query(SQL, options)
+        result = gis.query(sql, options)
     except GISError as exc:
         # (c) clean, typed, attributed failure — only a faulted source may
         # sink the query, and only outside graceful degradation.
@@ -112,7 +123,7 @@ def check_invariant(plan, mode, retries, parallel):
     if result.complete:
         # (a) the exact fault-free answer.
         assert result.excluded_sources == {}
-        assert Counter(result.rows) == ALL_ROWS
+        assert Counter(result.rows) == expected
         return "ok"
     # (b) honest partial: only faulted sources excluded, each with a
     # reason, survivors complete, nothing fabricated.
@@ -121,7 +132,9 @@ def check_invariant(plan, mode, retries, parallel):
     assert excluded and set(excluded) <= faulted
     assert all(reason for reason in excluded.values())
     got = Counter(result.rows)
-    assert not got - ALL_ROWS, "fabricated rows"
+    assert not got - expected, "fabricated rows"
+    if bind:
+        return "partial"  # every join row needs both sides
     for name in SOURCES:
         per_source = Counter(row for row in result.rows if row[1] == name)
         if name not in excluded:
@@ -162,7 +175,7 @@ class TestSeededChaosSweep:
             rng = random.Random(seed)
             plan = random_plan(rng, seed)
             mode, retries, parallel = scenario_knobs(rng)
-            check_invariant(plan, mode, retries, parallel)
+            check_invariant(plan, mode, retries, parallel, bind=seed % 2 == 1)
 
     def test_sweep_exercises_every_outcome(self):
         kinds = set()

@@ -12,7 +12,7 @@ from repro.core.physical import (
 from repro.datatypes import DataType
 from repro.sql import ast
 
-from .conftest import assert_same_rows, make_small_gis
+from .conftest import assert_same_rows, drain, make_small_gis
 
 
 def ctx():
@@ -38,7 +38,7 @@ def merge_join(left_rows, right_rows, residual=None):
         residual,
         left_cols + right_cols,
     )
-    return list(join.iterate(ctx())), left_cols, right_cols
+    return drain(join, ctx()), left_cols, right_cols
 
 
 class TestOperator:
@@ -78,7 +78,7 @@ class TestOperator:
             residual,
             left_cols + right_cols,
         )
-        assert list(join.iterate(ctx())) == [(1, 10, 1, 50)]
+        assert drain(join, ctx()) == [(1, 10, 1, 50)]
 
     def test_empty_side(self):
         rows, _, _ = merge_join([], [(1, "x")])

@@ -19,6 +19,8 @@ from repro.core.physical import (
 from repro.datatypes import DataType
 from repro.sql import ast
 
+from .conftest import drain
+
 
 def ctx():
     return ExecutionContext(Catalog(), SimulatedNetwork())
@@ -51,7 +53,7 @@ class TestScalarOperators:
             static([(1,), (5,), (None,)], cols),
             ast.BinaryOp(">", cols[0].ref(), ast.Literal(2, INT)),
         )
-        assert list(op.iterate(ctx())) == [(5,)]
+        assert drain(op, ctx()) == [(5,)]
 
     def test_project(self):
         cols = columns(("a", INT))
@@ -60,43 +62,43 @@ class TestScalarOperators:
             [ast.BinaryOp("*", cols[0].ref(), ast.Literal(10, INT))],
             columns(("x", INT)),
         )
-        assert list(op.iterate(ctx())) == [(20,), (30,)]
+        assert drain(op, ctx()) == [(20,), (30,)]
 
     def test_limit_and_offset(self):
         cols = columns(("a", INT))
         op = LimitExec(static([(i,) for i in range(10)], cols), 3, 2)
-        assert list(op.iterate(ctx())) == [(2,), (3,), (4,)]
+        assert drain(op, ctx()) == [(2,), (3,), (4,)]
 
     def test_distinct(self):
         cols = columns(("a", INT))
         op = DistinctExec(static([(1,), (1,), (2,)], cols))
-        assert list(op.iterate(ctx())) == [(1,), (2,)]
+        assert drain(op, ctx()) == [(1,), (2,)]
 
     def test_sort(self):
         cols = columns(("a", INT))
         op = SortExec(
             static([(3,), (1,), (None,)], cols), [(cols[0].ref(), True)]
         )
-        assert list(op.iterate(ctx())) == [(1,), (3,), (None,)]
+        assert drain(op, ctx()) == [(1,), (3,), (None,)]
 
     def test_union(self):
         cols = columns(("a", INT))
         op = UnionExec(
             [static([(1,)], cols), static([(2,)], cols)], cols
         )
-        assert list(op.iterate(ctx())) == [(1,), (2,)]
+        assert drain(op, ctx()) == [(1,), (2,)]
 
     def test_set_difference_except_and_intersect(self):
         cols = columns(("a", INT))
         left = static([(1,), (2,), (2,), (3,)], cols)
         right = static([(2,)], cols)
         except_op = SetDifferenceExec(left, right, "EXCEPT", cols)
-        assert list(except_op.iterate(ctx())) == [(1,), (3,)]
+        assert drain(except_op, ctx()) == [(1,), (3,)]
         intersect_op = SetDifferenceExec(
             static([(1,), (2,), (2,)], cols), static([(2,), (9,)], cols),
             "INTERSECT", cols,
         )
-        assert list(intersect_op.iterate(ctx())) == [(2,)]
+        assert drain(intersect_op, ctx()) == [(2,)]
 
 
 def make_join(kind, left_rows, right_rows, null_aware=False, residual=None):
@@ -121,25 +123,25 @@ class TestHashJoin:
 
     def test_inner(self):
         join, _, _ = make_join("INNER", self.LEFT, self.RIGHT)
-        rows = list(join.iterate(ctx()))
+        rows = drain(join, ctx())
         assert sorted(rows) == [
             (1, "a", 1, "x"), (1, "a", 1, "y"), (3, "c", 3, "z")
         ]
 
     def test_left_outer(self):
         join, _, _ = make_join("LEFT", self.LEFT, self.RIGHT)
-        rows = list(join.iterate(ctx()))
+        rows = drain(join, ctx())
         assert (2, "b", None, None) in rows
         assert (None, "n", None, None) in rows
         assert len(rows) == 5
 
     def test_semi(self):
         join, _, _ = make_join("SEMI", self.LEFT, self.RIGHT)
-        assert sorted(list(join.iterate(ctx()))) == [(1, "a"), (3, "c")]
+        assert sorted(drain(join, ctx())) == [(1, "a"), (3, "c")]
 
     def test_anti_not_exists_semantics(self):
         join, _, _ = make_join("ANTI", self.LEFT, self.RIGHT)
-        rows = list(join.iterate(ctx()))
+        rows = drain(join, ctx())
         # NULL probe key has no match → kept (NOT EXISTS semantics).
         assert sorted(rows, key=repr) == sorted(
             [(2, "b"), (None, "n")], key=repr
@@ -147,12 +149,12 @@ class TestHashJoin:
 
     def test_anti_null_aware_right_null_kills_all(self):
         join, _, _ = make_join("ANTI", self.LEFT, self.RIGHT, null_aware=True)
-        assert list(join.iterate(ctx())) == []
+        assert drain(join, ctx()) == []
 
     def test_anti_null_aware_without_right_nulls(self):
         right = [(1, "x"), (3, "z")]
         join, _, _ = make_join("ANTI", self.LEFT, right, null_aware=True)
-        rows = list(join.iterate(ctx()))
+        rows = drain(join, ctx())
         # NULL probe key: NULL NOT IN (1,3) is NULL → dropped.
         assert rows == [(2, "b")]
 
@@ -169,11 +171,11 @@ class TestHashJoin:
             residual,
             left_cols + right_cols,
         )
-        assert list(join.iterate(ctx())) == [(1, 10, 1, 50)]
+        assert drain(join, ctx()) == [(1, 10, 1, 50)]
 
     def test_empty_right_left_join(self):
         join, _, _ = make_join("LEFT", [(1, "a")], [])
-        assert list(join.iterate(ctx())) == [(1, "a", None, None)]
+        assert drain(join, ctx()) == [(1, "a", None, None)]
 
 
 class TestNestedLoopJoin:
@@ -188,7 +190,7 @@ class TestNestedLoopJoin:
             condition,
             left_cols + right_cols,
         )
-        assert sorted(list(join.iterate(ctx()))) == [(1, 3), (1, 6), (5, 6)]
+        assert sorted(drain(join, ctx())) == [(1, 3), (1, 6), (5, 6)]
 
     def test_exists_semi_with_no_condition(self):
         left_cols = columns(("a", INT))
@@ -200,7 +202,7 @@ class TestNestedLoopJoin:
             None,
             left_cols,
         )
-        assert list(join.iterate(ctx())) == [(1,), (2,)]
+        assert drain(join, ctx()) == [(1,), (2,)]
 
     def test_not_exists_with_empty_right(self):
         left_cols = columns(("a", INT))
@@ -212,7 +214,7 @@ class TestNestedLoopJoin:
             None,
             left_cols,
         )
-        assert list(join.iterate(ctx())) == [(1,)]
+        assert drain(join, ctx()) == [(1,)]
 
     def test_left_with_condition(self):
         left_cols = columns(("a", INT))
@@ -225,7 +227,7 @@ class TestNestedLoopJoin:
             condition,
             left_cols + right_cols,
         )
-        assert sorted(list(join.iterate(ctx())), key=repr) == sorted(
+        assert sorted(drain(join, ctx()), key=repr) == sorted(
             [(1, 1), (2, None)], key=repr
         )
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro import (
+    FaultPlan,
+    FaultSpec,
     GlobalInformationSystem,
     MemorySource,
     NetworkLink,
@@ -15,13 +17,13 @@ from repro.core.logical import RemoteQueryOp
 from .conftest import assert_same_rows
 
 
-def build_gis(bandwidth=1_000.0, big_rows=2000, match_keys=5):
+def build_gis(bandwidth=1_000.0, big_rows=2000, match_keys=5, retries=0):
     """A tiny filtered probe side against a big remote side on a slow link.
 
     Low bandwidth makes shipping the big table expensive, so the semijoin
     should win in `auto` mode.
     """
-    gis = GlobalInformationSystem()
+    gis = GlobalInformationSystem(fragment_retries=retries)
     left = MemorySource("left")
     left_schema = schema_from_pairs("probe", [("k", "INT"), ("tag", "TEXT")])
     left.add_table(
@@ -153,6 +155,51 @@ class TestExecution:
             "SELECT tag FROM probe WHERE k IN (SELECT k FROM big)"
         )
         assert_same_rows(result.rows, reference)
+
+
+@pytest.mark.parametrize("parallel", [1, 4])
+class TestBindJoinEnvelope:
+    """Key batches run inside the same retry / breaker / fallback / health
+    envelope on the caller's thread as on scheduler workers."""
+
+    def forced(self, parallel, **knobs):
+        return PlannerOptions(
+            semijoin="force", max_parallel_fragments=parallel, **knobs
+        )
+
+    def test_connect_fault_on_bound_source_is_retried(self, parallel):
+        expected = build_gis().query(QUERY, self.forced(parallel)).rows
+        gis = build_gis(retries=1)
+        plan = FaultPlan.of(right=FaultSpec(fail_connect=1))
+        result = gis.query(QUERY, self.forced(parallel, faults=plan))
+        assert result.rows == expected
+        assert result.metrics.network.fragment_retries == 1
+
+    def test_bound_source_feeds_health(self, parallel):
+        gis = build_gis()
+        gis.query(QUERY, self.forced(parallel))
+        assert gis.health_status()["right"]["samples"] > 0
+
+    def test_open_breaker_falls_back_to_replica(self, parallel):
+        expected = build_gis().query(QUERY, self.forced(parallel)).rows
+        gis = build_gis()
+        replica = SQLiteSource("replica")
+        replica.load_table(
+            "big_copy",
+            schema_from_pairs("big", [("k", "INT"), ("payload", "TEXT")]),
+            [(i % 100, "x" * 50) for i in range(2000)],
+        )
+        gis.register_source("replica", replica)
+        gis.register_replica("big", source="replica", remote_table="big_copy")
+        gis.breakers.breaker_for("right", 1, 30_000.0).record_failure()
+        result = gis.query(
+            QUERY,
+            self.forced(
+                parallel, breaker_failure_threshold=1, replicas="primary"
+            ),
+        )
+        assert result.rows == expected
+        assert result.metrics.network.breaker_fallbacks == 1
 
 
 class TestKeyValueBindJoin:
