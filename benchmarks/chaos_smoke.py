@@ -1,6 +1,6 @@
 """CI chaos smoke: resilience invariants on a three-source federation.
 
-Five scripted scenarios, each a hard gate:
+Six scripted scenarios, each a hard gate:
 
 * **zero-overhead** — an armed-but-empty fault plan must leave rows and
   simulated-network accounting bit-identical to the fault-free baseline
@@ -213,6 +213,55 @@ def scenario_bind_join_retry(lines, failures):
     )
 
 
+RANGE_SQL = "SELECT a, src FROM t_ranges WHERE a BETWEEN 600 AND 649"
+
+
+def build_ranges():
+    """The three sources as range shards of one analyzed UNION ALL view:
+    source ``i`` holds ``a`` in ``[500 i, 500 i + 500)``."""
+    gis = GlobalInformationSystem()
+    for index, name in enumerate(SOURCES):
+        source = MemorySource(name, page_rows=64)
+        low = index * ROWS_EACH
+        source.add_table(
+            f"r_{name}", SCHEMA, [(i, name) for i in range(low, low + ROWS_EACH)]
+        )
+        gis.register_source(name, source)
+        gis.register_table(f"r_{name}", source=name)
+    gis.create_view(
+        "t_ranges",
+        " UNION ALL ".join(f"SELECT a, src FROM r_{name}" for name in SOURCES),
+    )
+    gis.analyze()
+    return gis
+
+
+def scenario_pruned_dead_shard(lines, failures):
+    expected = [(i, "beta") for i in range(600, 650)]
+    plan = FaultPlan.of(alpha=FaultSpec(fail_connect=10_000, permanent=True))
+    outcomes = {}
+    for parallel in (1, 4):
+        options = PlannerOptions(faults=plan, max_parallel_fragments=parallel)
+        try:
+            result = build_ranges().query(RANGE_SQL, options)
+        except SourceError as exc:
+            outcomes[parallel] = f"{type(exc).__name__} on '{exc.source_name}'"
+            failures.append(f"pruned dead shard failed at parallel={parallel}: {exc}")
+            continue
+        outcomes[parallel] = (
+            f"{len(result.rows)} rows, complete={result.complete}"
+        )
+        if sorted(result.rows) != expected or not result.complete:
+            failures.append(
+                f"pruned dead shard at parallel={parallel} returned "
+                f"{len(result.rows)}/{len(expected)} rows, "
+                f"complete={result.complete}"
+            )
+    lines.append(
+        f"pruned shard:    sequential {outcomes[1]}; parallel(4) {outcomes[4]}"
+    )
+
+
 def main() -> int:
     lines = ["== chaos smoke: scripted faults on a 3-source federation =="]
     failures = []
@@ -221,6 +270,7 @@ def main() -> int:
     scenario_flapping_recovery(lines, failures)
     scenario_deadline_abort(lines, failures)
     scenario_bind_join_retry(lines, failures)
+    scenario_pruned_dead_shard(lines, failures)
     lines.append("")
 
     os.makedirs(os.path.dirname(RESULTS_PATH), exist_ok=True)

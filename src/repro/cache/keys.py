@@ -323,6 +323,31 @@ class ColumnConstraint:
                 return False
         return True
 
+    def excludes_range(self, low: Any, high: Any) -> bool:
+        """Does no value in ``[low, high]`` satisfy this constraint? True
+        means a column whose non-NULL values all lie there yields no row
+        (a bound or value set rejects NULL too). Unknown bounds (None) and
+        incomparable values answer False."""
+        if low is None or high is None:
+            return False
+        if self.eq_values is None and not self.has_bounds:
+            return False
+        try:
+            if self.eq_values is not None:
+                return not any(
+                    low <= value <= high and self.admits(value)
+                    for value in self.eq_values
+                )
+            if self.lo is not None and (
+                self.lo > high or (self.lo == high and self.lo_strict)
+            ):
+                return True
+            return self.hi is not None and (
+                self.hi < low or (self.hi == low and self.hi_strict)
+            )
+        except TypeError:
+            return False
+
 
 @dataclass
 class FragmentShape:

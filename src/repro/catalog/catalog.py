@@ -30,7 +30,7 @@ epoch when its data moved out of band.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import CatalogError, DuplicateObjectError, UnknownObjectError
@@ -248,14 +248,32 @@ class Catalog:
     def notify_source_changed(self, source: str) -> int:
         """Record that a source's data moved out of band: bump its epoch
         (lazily invalidating fragment-cache entries and materialized
-        snapshots built on the old one) and publish the event."""
+        snapshots built on the old one), stop trusting its tables'
+        statistics as exact bounds, and publish the event."""
         self.source(source)  # validate the name
+        self.mark_statistics_inexact(source)
         epoch = self.versions.bump(source)
         self.publish(
             ev.SOURCE_CHANGED, name=source, source=source,
             payload={"source_epoch": epoch},
         )
         return epoch
+
+    def mark_statistics_inexact(self, source: str) -> None:
+        """Clear ``exact`` on the statistics of every table with a copy
+        (primary or replica) on ``source`` until its next ANALYZE.
+
+        No version bump and no event: :meth:`notify_source_changed`
+        publishes the change, and journal replay of that event calls this
+        so a recovered catalog prunes exactly as before the crash.
+        """
+        key = source.lower()
+        for table_key, entry in self._tables.items():
+            statistics = self._statistics.get(table_key)
+            if statistics is not None and statistics.exact and any(
+                mapping.source.lower() == key for mapping in entry.all_mappings()
+            ):
+                self._statistics[table_key] = replace(statistics, exact=False)
 
     # -- tables and views ------------------------------------------------------
 

@@ -412,9 +412,10 @@ class CatalogJournal:
             if catalog.has_source(name):
                 gis.unregister_source(name)
         elif kind == ev.SOURCE_CHANGED:
-            # Structural no-op: the version-vector restore at the end of
-            # recovery carries the epoch bump.
-            pass
+            # The version-vector restore at the end of recovery carries the
+            # epoch bump; the statistics lose exactness as they did live.
+            if catalog.has_source(name):
+                catalog.mark_statistics_inexact(name)
         elif kind in (ev.TABLE_REGISTERED, ev.TABLE_ALTERED):
             self._restore_table(
                 gis,

@@ -263,10 +263,18 @@ class ColumnStatistics:
 
 @dataclass
 class TableStatistics:
-    """Statistics for one (global or source) table."""
+    """Statistics for one (global or source) table.
+
+    ``exact`` says every column's ``min_value``/``max_value`` bound every
+    row of the table: ANALYZE scanned it whole and its source has not been
+    reported changed since. Only exact bounds may prove that a pushed
+    predicate selects nothing (UNION ALL branch pruning); prefix samples,
+    hand-built and legacy statistics are not exact.
+    """
 
     row_count: float
     columns: Dict[str, ColumnStatistics] = field(default_factory=dict)
+    exact: bool = False
 
     @staticmethod
     def from_rows(
@@ -300,6 +308,7 @@ class TableStatistics:
             "columns": {
                 name: stats.to_dict() for name, stats in self.columns.items()
             },
+            "exact": self.exact,
         }
 
     @staticmethod
@@ -311,6 +320,7 @@ class TableStatistics:
                 name: ColumnStatistics.from_dict(stats)
                 for name, stats in dict(data.get("columns", {})).items()
             },
+            exact=bool(data.get("exact", False)),
         )
 
     def average_row_width(self, schema: TableSchema) -> float:

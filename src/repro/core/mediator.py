@@ -530,6 +530,7 @@ class GlobalInformationSystem:
             statistics = TableStatistics.from_rows(
                 entry.schema, rows, histogram_buckets
             )
+            statistics.exact = not truncated
             if truncated:
                 adapter: Adapter = self.catalog.source(entry.mapping.source)
                 try:

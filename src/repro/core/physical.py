@@ -43,6 +43,7 @@ from typing import (
     Tuple,
 )
 
+from ..cache.keys import fragment_shape
 from ..catalog.catalog import Catalog
 from ..datatypes import DataType
 from ..errors import ExecutionError, PlanError, QueryTimeoutError, SourceError
@@ -1495,13 +1496,31 @@ class DistinctExec(PhysicalOperator):
 
 class UnionExec(PhysicalOperator):
     def __init__(
-        self, inputs: List[PhysicalOperator], columns: Sequence[RelColumn]
+        self,
+        inputs: List[PhysicalOperator],
+        columns: Sequence[RelColumn],
+        pruned: Sequence[Tuple[str, str]] = (),
     ) -> None:
         super().__init__(columns)
         self.inputs = inputs
+        #: ``(source, column)`` per branch left out because the column's
+        #: exact statistics contradict the branch's pushed predicate.
+        self.pruned = list(pruned)
 
     def children(self) -> List[PhysicalOperator]:
         return list(self.inputs)
+
+    def describe(self) -> str:
+        if not self.pruned:
+            return "Union"
+        by_column: Dict[str, List[str]] = {}
+        for source, column in self.pruned:
+            by_column.setdefault(column, []).append(source)
+        reasons = "; ".join(
+            f"{', '.join(sources)} by {column}"
+            for column, sources in by_column.items()
+        )
+        return f"Union(pruned {reasons})"
 
     def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         for child in self.inputs:
@@ -1647,9 +1666,7 @@ class PhysicalPlanner:
         if isinstance(plan, DistinctOp):
             return DistinctExec(self.build(plan.child))
         if isinstance(plan, UnionOp):
-            return UnionExec(
-                [self.build(child) for child in plan.inputs], plan.columns
-            )
+            return self._union(plan)
         if isinstance(plan, SetDifferenceOp):
             return SetDifferenceExec(
                 self.build(plan.left),
@@ -1661,6 +1678,56 @@ class PhysicalPlanner:
         raise PlanError(f"cannot build physical plan for {type(plan).__name__}")
 
     # -- helpers ---------------------------------------------------------------
+
+    def _union(self, plan: UnionOp) -> PhysicalOperator:
+        """The union of the branches exact statistics cannot rule out.
+
+        Runs on every build, so a plan-cache rebind is pruned for its own
+        literals; a union with no branch left is empty rows of its width.
+        """
+        inputs: List[PhysicalOperator] = []
+        pruned: List[Tuple[str, str]] = []
+        for branch in plan.inputs:
+            if isinstance(branch, RemoteQueryOp):
+                column = self._excluding_column(branch)
+                if column is not None:
+                    pruned.append((branch.source_name, column))
+                    continue
+            inputs.append(self.build(branch))
+        if not inputs:
+            return StaticRowsExec([], plan.columns)
+        return UnionExec(inputs, plan.columns, pruned)
+
+    def _excluding_column(self, plan: RemoteQueryOp) -> Optional[str]:
+        """A column whose exact ANALYZE min/max contradict the predicate of
+        this unbound single-scan fragment, read with the fragment cache's
+        own shape analysis; None when no such column is known."""
+        if plan.bind is not None:
+            return None
+        fragment = Fragment(plan.source_name, plan.fragment)
+        scans = fragment.scans()
+        if len(scans) != 1:
+            return None
+        (scan,) = scans
+        statistics = self._catalog.statistics(scan.table.name)
+        if statistics is None or not statistics.exact:
+            return None
+        shape = fragment_shape(fragment)
+        if shape is None:
+            return None
+        mapping = scan.effective_mapping
+        for column in scan.columns:
+            constraint = shape.constraints.get(mapping.remote_column(column.name))
+            column_stats = statistics.column(column.name)
+            if (
+                constraint is not None
+                and column_stats is not None
+                and constraint.excludes_range(
+                    column_stats.min_value, column_stats.max_value
+                )
+            ):
+                return column.name
+        return None
 
     def _exchange(self, plan: RemoteQueryOp) -> ExchangeExec:
         adapter = self._catalog.source(plan.source_name)

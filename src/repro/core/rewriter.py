@@ -20,7 +20,7 @@ tests check each rule against the reference interpreter.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..datatypes import DataType
 from ..errors import ExecutionError
@@ -299,6 +299,19 @@ def _push_into_join(node: FilterOp, join: JoinOp, conjuncts: List[ast.Expr]) -> 
             to_condition.append(conjunct)
         else:
             kept.append(conjunct)
+    if kind in ("INNER", "CROSS", "SEMI"):
+        # Transitive key predicates: ``a = b`` in the condition and
+        # ``a = k`` sunk to a's side let ``b = k`` sink to b's side too. A
+        # SEMI join's subquery side only ever receives (probe → subquery).
+        equalities = ast.conjuncts(join.condition) if join.condition else []
+        if kind != "SEMI":
+            equalities = equalities + to_condition
+        pairs = _column_equalities(equalities)
+        to_right.extend(_transitive_literals(to_left, pairs, right_ids, to_right))
+        if kind != "SEMI":
+            to_left.extend(
+                _transitive_literals(to_right, pairs, left_ids, to_left)
+            )
     if not (to_left or to_right or to_condition) and kind == join.kind:
         return node
     left = FilterOp(join.left, _conjoin(to_left)) if to_left else join.left
@@ -311,6 +324,58 @@ def _push_into_join(node: FilterOp, join: JoinOp, conjuncts: List[ast.Expr]) -> 
             kind = "INNER"
     new_join = JoinOp(left, right, kind, condition, join.null_aware)
     return FilterOp(new_join, _conjoin(kept)) if kept else new_join
+
+
+def _column_equalities(
+    conjuncts: Sequence[ast.Expr],
+) -> List[Tuple[RelColumn, RelColumn]]:
+    """``(a, b)`` for each ``a = b`` conjunct between two bare columns of
+    one dtype (across dtypes the comparison coerces, so ``a = k`` need not
+    imply ``b = k``)."""
+    pairs = []
+    for conjunct in conjuncts:
+        if (
+            isinstance(conjunct, ast.BinaryOp)
+            and conjunct.op == "="
+            and isinstance(conjunct.left, ast.BoundRef)
+            and isinstance(conjunct.right, ast.BoundRef)
+            and conjunct.left.column.dtype == conjunct.right.column.dtype
+        ):
+            pairs.append((conjunct.left.column, conjunct.right.column))
+    return pairs
+
+
+def _transitive_literals(
+    sunk: Sequence[ast.Expr],
+    pairs: Sequence[Tuple[RelColumn, RelColumn]],
+    target_ids: Set[int],
+    target: Sequence[ast.Expr],
+) -> List[ast.Expr]:
+    """``b = k`` for each non-NULL ``a = k`` in ``sunk`` and ``(a, b)`` in
+    ``pairs`` with ``b`` on the target side, minus conjuncts ``target``
+    already holds. ``k`` is the same Literal object, so its parameter slot
+    is shared and a plan-cache rebind rewrites both copies."""
+    derived: List[ast.Expr] = []
+    for conjunct in sunk:
+        if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
+            continue
+        ref, literal = conjunct.left, conjunct.right
+        if isinstance(ref, ast.Literal):
+            ref, literal = literal, ref
+        if not (
+            isinstance(ref, ast.BoundRef)
+            and isinstance(literal, ast.Literal)
+            and literal.value is not None
+        ):
+            continue
+        for a, b in pairs:
+            other = b if a is ref.column else a if b is ref.column else None
+            if other is None or other.column_id not in target_ids:
+                continue
+            candidate = ast.BinaryOp("=", other.ref(), literal)
+            if candidate not in target and candidate not in derived:
+                derived.append(candidate)
+    return derived
 
 
 def _rejects_nulls(predicate: ast.Expr, side_ids: Set[int]) -> bool:

@@ -296,3 +296,90 @@ class TestFullPipelineEquivalence:
     def test_rewrite_preserves_semantics(self, catalog, sql):
         plan = bind(catalog, sql)
         assert_equivalent(catalog, plan, rewrite(plan))
+
+
+# ---------------------------------------------------------------------------
+# transitive key predicates
+# ---------------------------------------------------------------------------
+
+
+def side_keys(plan, side):
+    """Literals of ``column = literal`` filters on one side of the join."""
+    (join,) = [n for n in plan.walk() if isinstance(n, JoinOp)]
+    subtree = join.left if side == "left" else join.right
+    return [
+        conjunct.right
+        for node in subtree.walk()
+        if isinstance(node, FilterOp)
+        for conjunct in ast.conjuncts(node.predicate)
+        if isinstance(conjunct, ast.BinaryOp)
+        and conjunct.op == "="
+        and isinstance(conjunct.right, ast.Literal)
+    ]
+
+
+class TestTransitiveKeyPredicates:
+    def test_inner_join_carries_the_key_with_its_slot(self, catalog):
+        from repro.core.prepared import parameterize
+
+        statement = parameterize(parse_select(
+            "SELECT t.b, u.k FROM t JOIN u ON t.a = u.a WHERE t.a = 5"
+        )).statement
+        plan = Analyzer(catalog).bind_statement(statement)
+        rewritten = rewrite(plan)
+        (left,) = side_keys(rewritten, "left")
+        (right,) = side_keys(rewritten, "right")
+        assert left.value == right.value == 5
+        assert left.param_slot == right.param_slot == 0
+        assert_equivalent(catalog, plan, rewritten)
+
+    def test_semi_join_carries_the_key_into_the_subquery(self, catalog):
+        plan = bind(
+            catalog,
+            "SELECT a FROM (SELECT a FROM t WHERE a IN (SELECT a FROM u)) s "
+            "WHERE a = 5",
+        )
+        rewritten = rewrite(plan)
+        (join,) = [n for n in rewritten.walk() if isinstance(n, JoinOp)]
+        assert join.kind == "SEMI"
+        assert [key.value for key in side_keys(rewritten, "right")] == [5]
+        assert_equivalent(catalog, plan, rewritten)
+
+    @pytest.mark.parametrize("sql", [
+        # the null-extended side of a LEFT join
+        "SELECT t.a, u.k FROM t LEFT JOIN u ON t.a = u.a WHERE t.a = 5",
+        # mismatched dtypes (FLOAT = INT)
+        "SELECT t.a FROM t JOIN u ON t.c = u.a WHERE t.c = 5.0",
+        # a NULL literal
+        "SELECT t.a FROM t JOIN u ON t.a = u.a WHERE t.a = NULL",
+    ])
+    def test_no_key_where_it_would_be_unsound(self, catalog, sql):
+        plan = bind(catalog, sql)
+        rewritten = rewrite(plan)
+        assert side_keys(rewritten, "right") == []
+        assert_equivalent(catalog, plan, rewritten)
+
+    @pytest.mark.parametrize("subquery", [
+        "a NOT IN (SELECT a FROM n)",
+        "NOT EXISTS (SELECT 1 FROM n WHERE n.a = t.a)",
+    ])
+    def test_anti_join_with_a_null_key_gets_nothing(self, catalog, subquery):
+        # n holds a NULL key, so NOT IN is empty; a carried n.a = 5 would
+        # drop that NULL and wrongly let t's row 5 through.
+        schema = schema_from_pairs("n", [("a", "INT")])
+        catalog.source("mem").add_table("n", schema, [(7,), (None,)])
+        catalog.register_table("n", schema, TableMapping("mem", "n"))
+        plan = bind(
+            catalog, f"SELECT a FROM (SELECT a FROM t WHERE {subquery}) s WHERE a = 5"
+        )
+        rewritten = rewrite(plan)
+        assert side_keys(rewritten, "right") == []
+        assert_equivalent(catalog, plan, rewritten)
+
+    def test_rewriting_twice_adds_no_duplicate(self, catalog):
+        plan = bind(
+            catalog, "SELECT t.b, u.k FROM t JOIN u ON t.a = u.a WHERE t.a = 5"
+        )
+        twice = rewrite(rewrite(plan))
+        assert len(side_keys(twice, "left")) == 1
+        assert len(side_keys(twice, "right")) == 1
