@@ -15,7 +15,11 @@ Scripted crash drill, each step a hard gate:
   pre-crash run;
 * **epoch monotonicity** — no source epoch, schema version, or the
   global catalog epoch may move backwards across the restart, so cached
-  artifacts from the previous life can never be mistaken for fresh.
+  artifacts from the previous life can never be mistaken for fresh;
+* **torn first record** — cut a journal inside its very first record,
+  then restart twice: the first restart is a cold start over the torn
+  bytes, and the second must replay that cold start's journal cleanly
+  to the same sources and byte-identical plans.
 
 The scenario table is written to ``benchmarks/results/catalog_smoke.txt``.
 Run directly::
@@ -94,7 +98,6 @@ def make_config(journal_path: str) -> dict:
         },
         "analyze": True,
         "plan_cache_size": 32,
-        "result_cache_size": 8,
         "cache": {"fragment_bytes": 1 << 22},
         "catalog": {
             "journal": journal_path,
@@ -190,6 +193,43 @@ def main() -> int:
             failures.append(f"source epochs regressed: {regressions}")
         if post_catalog_epoch < pre_catalog_epoch:
             failures.append("global catalog epoch regressed across restart")
+
+        # -- torn first record, then two restarts --------------------------
+        torn_config = make_config(os.path.join(tmp, "torn.jsonl"))
+        torn_path = torn_config["catalog"]["journal"]
+        build_from_config(torn_config)
+        with open(torn_path, "rb") as handle:
+            first_record = handle.readline()
+        with open(torn_path, "wb") as handle:
+            handle.write(first_record[: len(first_record) // 2])
+        cold = build_from_config(torn_config)
+        cold_plans = {sql: cold.explain(sql) for sql in WORKLOAD}
+        again = build_from_config(torn_config)
+        report = again.catalog_recovery or {}
+        torn_drift = [
+            sql for sql in WORKLOAD if again.explain(sql) != cold_plans[sql]
+        ]
+        lines.append(
+            f"torn first rec:  second restart replayed "
+            f"{report.get('records_replayed', 0)} record(s), "
+            f"errors={len(report.get('errors', []))}, sources "
+            f"{again.catalog.source_names()}, "
+            f"{len(WORKLOAD) - len(torn_drift)}/{len(WORKLOAD)} plans "
+            f"byte-identical"
+        )
+        if not report.get("recovered") or report.get("errors"):
+            failures.append(
+                f"second restart after a torn first record: {report}"
+            )
+        if again.catalog.source_names() != cold.catalog.source_names():
+            failures.append(
+                "second restart after a torn first record lost sources: "
+                f"{again.catalog.source_names()}"
+            )
+        if torn_drift:
+            failures.append(
+                f"plans drifted after a torn first record: {torn_drift}"
+            )
     lines.append("")
 
     os.makedirs(os.path.dirname(RESULTS_PATH), exist_ok=True)

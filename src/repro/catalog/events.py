@@ -3,8 +3,8 @@
 Each mutation of the live catalog commits its state change, bumps the
 relevant :class:`~repro.catalog.versions.CatalogVersions` counters, and
 then publishes one :class:`CatalogEvent` to every subscriber. Subscribers
-react by dropping exactly the affected cached state: the mediator clears
-the plan/result caches, evicts the dead source's fragment-cache entries,
+react by dropping exactly the affected cached state: the mediator
+invalidates the plan cache, evicts the dead source's fragment-cache entries,
 forgets its circuit breaker, and the catalog journal appends the event as
 its persistence record.
 

@@ -209,6 +209,10 @@ class CatalogJournal:
         }
         records = self._read_records(report)
         if not records:
+            # Nothing replayable, but a torn first record may still sit at
+            # the end of the file: cut it off, or the cold start's first
+            # append would land on that torn line and be lost with it.
+            self._drop_torn_tail()
             return report
         start = 0
         snapshot: Optional[Dict[str, Any]] = None
@@ -279,6 +283,22 @@ class CatalogJournal:
         if snapshot is not None:
             return snapshot.get("versions")
         return None
+
+    def _drop_torn_tail(self) -> None:
+        """Cut the file back to its last newline, fsynced.
+
+        Only bytes after the last newline go: a torn record is never
+        newline-terminated, and every complete line is kept as it was."""
+        if not os.path.exists(self.path):
+            return
+        with open(self.path, "r+b") as handle:
+            data = handle.read()
+            keep = data.rfind(b"\n") + 1
+            if keep == len(data):
+                return
+            handle.truncate(keep)
+            handle.flush()
+            os.fsync(handle.fileno())
 
     def _compact(self) -> None:
         with self._lock:

@@ -1,8 +1,8 @@
 """Unified catalog versions: the single invalidation authority.
 
-Every cached artifact in the mediator — prepared plans, the result cache,
-semantic fragment-cache entries, materialized-view snapshots — keys its
-freshness off state tracked here. One clock, four granularities:
+Every cached artifact in the mediator — prepared plans, semantic
+fragment-cache entries, materialized-view snapshots — keys its freshness
+off state tracked here. One clock, four granularities:
 
 * **source epochs** — a monotone counter per component system, bumped by
   any event the mediator can observe for that source (table or replica
@@ -15,8 +15,8 @@ freshness off state tracked here. One clock, four granularities:
   or mapping changes (``alter_table``, replica promotion).
 * **statistics versions** — per global table, bumped by ``ANALYZE``.
 * **catalog epoch** — one global counter bumped by *every* catalog
-  mutation; the plan cache and result cache invalidate off it through
-  the mediator's event subscription.
+  mutation; the plan cache invalidates off it through the mediator's
+  event subscription.
 
 Invalidation stays lazy everywhere: nothing walks cache entries on a
 bump; an entry remembers the version it was filled under and dies the

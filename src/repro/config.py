@@ -29,6 +29,10 @@ native tables), ``memory``, ``csv`` (requires ``directory``; ``rows``
 are materialized as files when given), ``keyvalue`` (each table needs a
 ``key`` column), ``rest`` (optional ``page_rows``).
 
+Every section, the top level included, rejects keys it does not know,
+so a typo (or a key of a removed feature) fails loudly instead of being
+silently ignored.
+
 A top-level ``scheduler`` section configures parallel fragment execution
 and the robustness envelope (see ``docs/parallel_execution.md``)::
 
@@ -157,8 +161,18 @@ def load_config(path: str) -> GlobalInformationSystem:
         return build_from_config(json.load(handle))
 
 
+#: Every top-level config key: the ones :func:`build_from_config` reads,
+#: plus ``serve``, which only :func:`build_server_config` parses.
+_TOP_LEVEL_KEYS = (
+    "sources", "tables", "replicas", "views", "analyze", "options",
+    "fragment_retries", "scheduler", "resilience", "tail", "observability",
+    "faults", "cache", "catalog", "plan_cache_size", "serve",
+)
+
+
 def build_from_config(config: Dict[str, Any]) -> GlobalInformationSystem:
     """Build a federation from a configuration dictionary (see module doc)."""
+    _check_keys("the top level", config, _TOP_LEVEL_KEYS)
     options = None
     if "options" in config:
         options = PlannerOptions(**config["options"])
@@ -191,7 +205,6 @@ def build_from_config(config: Dict[str, Any]) -> GlobalInformationSystem:
     gis = GlobalInformationSystem(
         options=options,
         fragment_retries=fragment_retries,
-        result_cache_size=int(config.get("result_cache_size", 0)),
         observability=observability,
         faults=faults,
         plan_cache_size=int(config.get("plan_cache_size", 0)),

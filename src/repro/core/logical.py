@@ -426,8 +426,8 @@ class MaterializedRowsOp(ValuesOp):
     Behaves exactly like :class:`ValuesOp` everywhere (physical planning,
     interpretation, cardinality) — the subclass exists so EXPLAIN shows
     the substitution, the mediator can count materialized-view hits, and
-    plan/result caches can refuse to store plans whose rows would go
-    stale on a clock the caches cannot observe.
+    the plan cache can refuse to store plans whose rows would go stale
+    on a clock it cannot observe.
     """
 
     view_name: str = ""

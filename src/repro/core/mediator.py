@@ -14,10 +14,7 @@ This is the class downstream users interact with::
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
-from dataclasses import replace
 from datetime import date
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -45,6 +42,8 @@ from .physical import (
     ExchangeExec,
     ExecutionContext,
     ExecutionMetrics,
+    OperatorProfile,
+    PhysicalOperator,
     profile_operators,
 )
 from .planner import PlannedQuery, Planner, PlannerOptions
@@ -72,7 +71,6 @@ class GlobalInformationSystem:
         network: Optional[SimulatedNetwork] = None,
         options: Optional[PlannerOptions] = None,
         fragment_retries: int = 0,
-        result_cache_size: int = 0,
         observability: Optional[Observability] = None,
         faults: Optional[FaultPlan] = None,
         plan_cache_size: int = 0,
@@ -85,16 +83,15 @@ class GlobalInformationSystem:
 
         ``fragment_retries`` lets exchanges re-issue a fragment after a
         transient :class:`~repro.errors.SourceError` (only before any rows
-        arrived). ``result_cache_size`` > 0 enables an LRU cache of query
-        results keyed by (sql, options); sources are autonomous, so the
-        cache is invalidated only by catalog changes, ``analyze()``, or
-        :meth:`clear_result_cache` — stale reads are the user's trade-off.
+        arrived). Finished results are never cached: sources are
+        autonomous, and the fragment cache below already replays warm
+        fragments behind their source epochs.
 
         ``plan_cache_size`` > 0 enables the plan-shape cache: queries that
         differ only in literal values share one optimized plan (see
         :mod:`repro.core.prepared`), skipping parse-to-plan after the first
-        execution of a shape. Catalog changes invalidate it via the same
-        epoch hook as the result cache.
+        execution of a shape. Every catalog change invalidates it (see
+        :meth:`_on_catalog_event`).
 
         Scheduling knobs (parallel fragments, timeouts, backoff, circuit
         breakers) live on :class:`PlannerOptions`; the mediator owns the
@@ -141,13 +138,6 @@ class GlobalInformationSystem:
         self.health = SourceHealthRegistry()
         self.obs = observability or Observability()
         self.fault_injector = FaultInjector(faults) if faults is not None else None
-        self._result_cache_size = result_cache_size
-        self._result_cache: "OrderedDict[Tuple[str, Optional[PlannerOptions]], QueryResult]" = (
-            OrderedDict()
-        )
-        self._cache_lock = threading.Lock()
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.plan_cache = PlanCache(plan_cache_size)
         self.fragment_cache = FragmentCache(
             fragment_cache_bytes, self.catalog.versions
@@ -181,8 +171,8 @@ class GlobalInformationSystem:
 
         Epoch-keyed caches (fragments, materialized snapshots) die lazily
         off the version bumps the catalog already made; this hook handles
-        the eager parts — the result/plan caches (any catalog change can
-        reshape plans) and, on source removal, state whose memory should
+        the eager parts — the plan cache (any catalog change can reshape
+        plans) and, on source removal, state whose memory should
         not outlive the source.
         """
         if event.kind == catalog_events.SOURCE_UNREGISTERED:
@@ -199,7 +189,7 @@ class GlobalInformationSystem:
                 self.fragment_cache.evict_table(
                     mapping["source"], mapping["remote_table"]
                 )
-        self.clear_result_cache()
+        self.plan_cache.invalidate()
 
     # -- federation configuration ------------------------------------------------
 
@@ -437,7 +427,7 @@ class GlobalInformationSystem:
             if registered:
                 self.materialized.drop(name)
             self.catalog.drop(name)
-            self.clear_result_cache()
+            self.plan_cache.invalidate()
             raise
         self.catalog.publish(
             catalog_events.MATERIALIZED_CREATED,
@@ -496,7 +486,7 @@ class GlobalInformationSystem:
         self.materialized.store_snapshot(
             name, result.rows, sources, epoch_snapshot
         )
-        self.clear_result_cache()
+        self.plan_cache.invalidate()
 
     # -- statistics ---------------------------------------------------------------
 
@@ -763,71 +753,11 @@ class GlobalInformationSystem:
         utility = parse_utility(sql)
         if utility is not None:
             return self._execute_utility(utility)
-        # Key the result cache on the *plan-shaping* options only —
-        # execution-only knobs (deadlines, fault plans, failure policy...)
-        # change neither rows nor column names, and keying on them caused
-        # spurious misses.
-        cache_key = (
-            sql,
-            None if options is None else self._plan_key_options(options),
-        )
-        if self._result_cache_size > 0:
-            with self._cache_lock:
-                cached = self._result_cache.get(cache_key)
-                if cached is not None:
-                    self._result_cache.move_to_end(cache_key)
-                    self.cache_hits += 1
-                else:
-                    self.cache_misses += 1
-            if cached is not None:
-                # A served-from-cache query performed no fragment probes;
-                # replaying the stored per-fragment counters would double
-                # count them in the registry.
-                hit_metrics = replace(
-                    cached.metrics.network,
-                    cache_hit=True,
-                    fragment_cache_hits=0,
-                    fragment_cache_misses=0,
-                    fragment_cache_bytes_saved=0.0,
-                )
-                hit = QueryResult(
-                    column_names=list(cached.column_names),
-                    rows=list(cached.rows),
-                    metrics=QueryMetrics(network=hit_metrics, wall_ms=0.0,
-                                         planning_ms=0.0),
-                )
-                self.obs.record_query(sql, hit.metrics)
-                if self.obs.registry.enabled:
-                    self.obs.publish_cache_stats(
-                        result_cache=self.result_cache_stats()
-                    )
-                return hit
-        result = self._execute_query(
+        return self._execute_query(
             sql,
             options,
             lambda tracer, root: self._plan_for_query(sql, options, tracer, root),
         )
-        if (
-            self._result_cache_size > 0
-            and result.complete
-            and result.metrics.network.materialized_view_hits == 0
-        ):
-            # Store a snapshot so callers mutating their result (rows is a
-            # plain list) cannot corrupt later cache hits. Partial results
-            # are never cached: the excluded source may be back by the next
-            # call, and serving its absence from cache would be silent.
-            # Results computed from a materialized snapshot are not cached
-            # either — their freshness is time-bounded (WITH STALENESS) on
-            # a clock the result cache cannot observe.
-            with self._cache_lock:
-                self._result_cache[cache_key] = QueryResult(
-                    column_names=list(result.column_names),
-                    rows=list(result.rows),
-                    metrics=result.metrics,
-                )
-                while len(self._result_cache) > self._result_cache_size:
-                    self._result_cache.popitem(last=False)
-        return result
 
     def _execute_utility(self, utility: UtilityStatement) -> QueryResult:
         """Run a materialized-view DDL statement; one status row back."""
@@ -865,9 +795,11 @@ class GlobalInformationSystem:
         self, sql: str, options: Optional[PlannerOptions], plan_fn
     ) -> QueryResult:
         """Plan (via ``plan_fn``) and execute one query with full tracing,
-        metrics, and failure accounting. Shared by :meth:`query` and
-        prepared-statement execution; the result cache is the caller's
-        concern."""
+        metrics, and failure accounting — the one execute path, shared by
+        :meth:`query`, prepared statements, materialized-view refresh and
+        :meth:`explain_analyze`.
+
+        ``plan_fn(tracer, root)`` returns ``(planned, plan_cache_hit)``."""
         obs = self.obs
         tracer = obs.tracer
         opts = options or self.planner.options
@@ -918,11 +850,6 @@ class GlobalInformationSystem:
                 obs.publish_breakers(self.breakers)
                 obs.publish_health(self.health)
                 obs.publish_cache_stats(
-                    result_cache=(
-                        self.result_cache_stats()
-                        if self._result_cache_size > 0
-                        else None
-                    ),
                     fragment_cache=(
                         self.fragment_cache.stats()
                         if self.fragment_cache.enabled
@@ -953,16 +880,6 @@ class GlobalInformationSystem:
         obs.record_query(sql, metrics, excluded_sources=excluded)
         return result
 
-    def clear_result_cache(self) -> None:
-        """Drop every cached result (e.g. after sources changed underneath).
-
-        Also bumps the plan-cache epoch: a catalog change invalidates
-        cached plans (schemas, mappings, statistics baked into them), and
-        every caller of this method is exactly such a change."""
-        with self._cache_lock:
-            self._result_cache.clear()
-        self.plan_cache.invalidate()
-
     def notify_source_changed(self, source: str) -> int:
         """Tell the mediator a source's data changed out of band.
 
@@ -970,7 +887,7 @@ class GlobalInformationSystem:
         This is the hook an application (or test harness) calls when it
         knows data moved: the source's epoch is bumped, which lazily
         invalidates fragment-cache entries and materialized snapshots
-        built on the old epoch, and the result cache is dropped (via the
+        built on the old epoch, and the plan cache is invalidated (via the
         catalog event the bump publishes). Returns the new epoch.
         """
         return self.catalog.notify_source_changed(source)
@@ -1065,18 +982,6 @@ class GlobalInformationSystem:
             out[name] = entry
         return out
 
-    def result_cache_stats(self) -> Dict[str, Any]:
-        """Hit/miss/occupancy counters for the (sql, options) result cache."""
-        with self._cache_lock:
-            lookups = self.cache_hits + self.cache_misses
-            return {
-                "capacity": self._result_cache_size,
-                "entries": len(self._result_cache),
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "hit_rate": self.cache_hits / lookups if lookups else 0.0,
-            }
-
     def explain_analyze(
         self, sql: str, options: Optional[PlannerOptions] = None
     ) -> str:
@@ -1085,41 +990,39 @@ class GlobalInformationSystem:
         The query really runs (network is charged as usual); the report
         shows the physical tree annotated with produced row and batch
         counts and inclusive wall time per node, plus the transfer
-        metrics. When the mediator's tracer is live the run also emits
-        operator spans like any traced query.
+        metrics. The run goes through the ordinary execute path, so it
+        counts as a query in the metrics registry and slow-query log, and
+        emits operator spans like any traced query when the tracer is live.
         """
-        obs = self.obs
-        tracer = obs.tracer
-        root = tracer.root_span("query", sql=sql, analyze=True)
-        planned = self.planner.plan(sql, options, tracer=tracer, parent=root)
-        context = self._execution_context(options)
-        context.tracer = tracer
-        exec_span = tracer.child(root, "phase:execute", "phase")
-        context.trace_span = exec_span
-        profiles = profile_operators(planned.physical, tracer=tracer,
-                                     parent=exec_span)
-        try:
-            rows = self._execute(planned, context)
-        finally:
-            exec_span.end()
-            root.end()
-            obs.collect()
-            obs.maybe_export()
+        physical: Optional[PhysicalOperator] = None
+        profiles: Dict[int, OperatorProfile] = {}
+
+        def plan_fn(tracer, root):
+            nonlocal physical, profiles
+            root.set_attribute("analyze", True)
+            # Never the plan cache: the report must not depend on its state.
+            planned = self.planner.plan(sql, options, tracer=tracer, parent=root)
+            physical = planned.physical
+            profiles = profile_operators(physical)
+            return planned, False
+
+        result = self._execute_query(sql, options, plan_fn)
+        assert physical is not None
         sections = [
             "== physical plan (actual rows) ==",
-            planned.physical.explain(
+            physical.explain(
                 row_counts={op: p.rows for op, p in profiles.items()},
                 batch_counts={op: p.batches for op, p in profiles.items()},
                 timings={op: p.wall_ms for op, p in profiles.items()},
             ),
             "",
-            f"result rows: {len(rows)}",
-            QueryMetrics(network=context.metrics).summary(),
+            f"result rows: {len(result.rows)}",
+            result.metrics.summary(),
         ]
-        if context.excluded_sources:
+        if result.excluded_sources:
             sections.append("")
             sections.append("== PARTIAL RESULT: excluded sources ==")
-            for source, reason in sorted(context.excluded_sources.items()):
+            for source, reason in sorted(result.excluded_sources.items()):
                 sections.append(f"[{source}] {reason}")
         return "\n".join(sections)
 
@@ -1184,11 +1087,6 @@ class GlobalInformationSystem:
                 return name, schema
         return None
 
-    @staticmethod
-    def _find_native_schema(adapter: Adapter, native_name: str) -> Optional[TableSchema]:
-        resolved = GlobalInformationSystem._find_native_table(adapter, native_name)
-        return resolved[1] if resolved is not None else None
-
 
 class PreparedStatement:
     """A parameterized statement pinned to its prepared plan.
@@ -1198,8 +1096,7 @@ class PreparedStatement:
     is parameter N. ``execute()`` with no arguments re-runs with the
     original literals; with a value list it rebinds the plan (or replans
     when a value the optimizer folded into the plan changed, or the
-    catalog epoch moved). Results never come from the result cache, so
-    every execute reflects the sources."""
+    catalog epoch moved)."""
 
     def __init__(
         self,

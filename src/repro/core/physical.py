@@ -109,7 +109,6 @@ class ExecutionMetrics:
     fragment_retries: int = 0
     semijoin_batches: int = 0
     rows_output: int = 0
-    cache_hit: bool = False
     plan_cache_hit: bool = False
     per_source_rows: Dict[str, int] = field(default_factory=dict)
     # -- batch execution statistics --

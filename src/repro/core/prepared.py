@@ -520,7 +520,8 @@ class PlanCache:
         """Epoch hook: every cached plan becomes stale immediately.
 
         Called by the mediator whenever the catalog changes underneath
-        (table/view/replica registration, ANALYZE, explicit cache clear).
+        (table/view/replica registration, ANALYZE, materialized-view
+        refresh).
         Returns the new epoch so callers can stamp dependent state.
         """
         with self._lock:

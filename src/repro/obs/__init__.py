@@ -139,8 +139,6 @@ class Observability:
             if excluded:
                 registry.counter("queries_partial_total").inc()
                 registry.counter("sources_excluded_total").inc(len(excluded))
-            if net.cache_hit:
-                registry.counter("result_cache_hits_total").inc()
             if getattr(net, "plan_cache_hit", False):
                 registry.counter("plan_cache_hits_total").inc()
             fragment_hits = getattr(net, "fragment_cache_hits", 0)
@@ -196,16 +194,14 @@ class Observability:
 
     def publish_cache_stats(
         self,
-        result_cache: Optional[Dict[str, Any]] = None,
         fragment_cache: Optional[Dict[str, Any]] = None,
         materialized: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Mirror the mediator's cache-layer state into the registry.
 
         Each argument is a stats dict as produced by the owning cache
-        (``GlobalInformationSystem.result_cache_stats()``,
-        ``FragmentCache.stats()``, ``MaterializedViewRegistry.stats()``,
-        all duck-typed). Cumulative counters land as
+        (``FragmentCache.stats()``, ``MaterializedViewRegistry.stats()``,
+        both duck-typed). Cumulative counters land as
         ``<layer>.<name>`` gauges so the registry always shows the
         current totals without double counting across queries.
         """
@@ -213,7 +209,6 @@ class Observability:
         if not registry.enabled:
             return
         for layer, stats in (
-            ("result_cache", result_cache),
             ("fragment_cache", fragment_cache),
             ("materialized_views", materialized),
         ):

@@ -20,8 +20,8 @@ Backslash commands:
 \profile  (prefix to a query) run it and show actual rows per operator
 \metrics  last query's transfer metrics, plus the mediator-wide metrics
           registry and circuit-breaker states when metrics are enabled
-\cache    semantic-cache state: fragment cache, result cache, and
-          materialized views; \cache clear drops fragment+result entries
+\cache    semantic-cache state: fragment cache and materialized views;
+          \cache clear drops the fragment cache's entries
 \catalog  live catalog state: catalog epoch, sources with epochs,
           tables/views with schema+stats versions, and — when catalog
           persistence is armed — the journal position
@@ -226,11 +226,7 @@ class Repl:
         gis = self.gis
         if argument.lower() == "clear":
             dropped = gis.fragment_cache.clear()
-            gis.clear_result_cache()
-            self._write(
-                f"cleared {dropped} fragment cache entries and the "
-                f"result cache"
-            )
+            self._write(f"cleared {dropped} fragment cache entries")
             return
         if argument:
             self._write("usage: \\cache [clear]")
@@ -249,16 +245,6 @@ class Repl:
             )
         else:
             self._write("fragment cache: OFF (fragment_cache_bytes = 0)")
-        result_stats = gis.result_cache_stats()
-        if result_stats["capacity"] > 0:
-            self._write(
-                f"result cache: {result_stats['entries']} of "
-                f"{result_stats['capacity']} entries; "
-                f"{result_stats['hits']} hits, {result_stats['misses']} "
-                f"misses (hit rate {result_stats['hit_rate']:.0%})"
-            )
-        else:
-            self._write("result cache: OFF (result_cache_size = 0)")
         materialized = gis.materialized.stats()
         if materialized["views"]:
             self._write(

@@ -198,7 +198,6 @@ def encode_result(result: Any, rows: Optional[Sequence[Any]] = None) -> Dict[str
             "network_ms": net.network_ms,
             "rows_shipped": net.rows_shipped,
             "messages": net.messages,
-            "result_cache_hit": bool(net.cache_hit),
             "plan_cache_hit": bool(getattr(net, "plan_cache_hit", False)),
         },
     }

@@ -358,10 +358,6 @@ class QueryServer:
                     registry.counter(f"tenant.{tenant}.queries_total").inc()
                     if result is not None:
                         net = result.metrics.network
-                        if net.cache_hit:
-                            registry.counter(
-                                f"tenant.{tenant}.result_cache_hits"
-                            ).inc()
                         if net.fragment_cache_hits:
                             registry.counter(
                                 f"tenant.{tenant}.fragment_cache_hits"
@@ -493,7 +489,6 @@ class QueryServer:
             "ok": True,
             "tenants": tenants,
             "plan_cache": self.gis.plan_cache.stats(),
-            "result_cache": self.gis.result_cache_stats(),
             "fragment_cache": self.gis.fragment_cache.stats(),
             "materialized_views": self.gis.materialized.stats(),
             "workers": self.config.max_workers,

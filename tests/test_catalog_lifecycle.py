@@ -45,7 +45,6 @@ def customer_schema(name="customers"):
 def make_gis(with_replica: bool = True, **kwargs) -> GlobalInformationSystem:
     """CRM + ERP, with an optional full replica of customers on 'mirror'."""
     kwargs.setdefault("fragment_cache_bytes", 1 << 20)
-    kwargs.setdefault("result_cache_size", 8)
     kwargs.setdefault("plan_cache_size", 32)
     gis = GlobalInformationSystem(**kwargs)
     crm = MemorySource("crm")

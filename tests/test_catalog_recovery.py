@@ -71,7 +71,6 @@ def base_config(journal_path: str, **catalog_overrides) -> dict:
         },
         "analyze": True,
         "plan_cache_size": 32,
-        "result_cache_size": 8,
         "cache": {"fragment_bytes": 1 << 20},
         "catalog": catalog,
     }
@@ -165,6 +164,34 @@ class TestRecovery:
         assert sorted(result.rows) == sorted(warm_rows)
         assert result.metrics.network.materialized_view_hits == 1
 
+    def test_materialized_view_survives_its_source_re_registered(
+        self, tmp_path
+    ):
+        from repro.config import _build_link, _build_source
+
+        config = base_config(str(tmp_path / "catalog.jsonl"))
+        warm = build_from_config(config)
+        warm.query(
+            "CREATE MATERIALIZED VIEW pricey AS "
+            "SELECT oid, total FROM orders WHERE total > 500"
+        )
+        warm_rows = warm.query("SELECT * FROM pricey").rows
+        spec = config["sources"]["erp"]
+        warm.unregister_source("erp")
+        warm.register_source(
+            "erp", _build_source("erp", spec),
+            link=_build_link(spec["link"]), spec=spec,
+        )
+        warm.register_table("orders", source="erp", remote_table="ORDERS")
+        # Now listed after the view that reads it; the second restart
+        # replays from the snapshot the first one compacted to.
+        for _ in range(2):
+            recovered = build_from_config(config)
+            assert recovered.catalog_recovery["skipped"] == []
+            assert recovered.materialized.has("pricey")
+            rows = recovered.query("SELECT * FROM pricey").rows
+            assert sorted(rows) == sorted(warm_rows)
+
     def test_empty_or_missing_journal_is_a_cold_start(self, tmp_path):
         config = base_config(str(tmp_path / "catalog.jsonl"))
         gis = build_from_config(config)
@@ -185,6 +212,28 @@ class TestRecovery:
             "truncated" in error for error in recovered.catalog_recovery["errors"]
         )
         assert recovered.query(WORKLOAD[0]).scalar() == 3
+
+    def test_torn_first_record_is_cut_before_the_cold_start(self, tmp_path):
+        journal = tmp_path / "catalog.jsonl"
+        config = base_config(str(journal))
+        build_from_config(config)
+        first = journal.read_bytes()
+        journal.write_bytes(first[: first.index(b"\n") // 2])
+        build_from_config(config)  # cold start: re-registers from config
+        recovered = build_from_config(config)
+        assert recovered.catalog_recovery["recovered"]
+        assert recovered.catalog_recovery["errors"] == []
+        assert recovered.catalog.source_names() == ["crm", "erp"]
+        assert recovered.query(WORKLOAD[0]).scalar() == 3
+
+    def test_complete_lines_of_a_foreign_file_are_kept(self, tmp_path):
+        journal = tmp_path / "catalog.jsonl"
+        journal.write_bytes(b"not a journal\nstill not\npartial")
+        gis = build_from_config(base_config(str(journal)))
+        assert not gis.catalog_recovery["recovered"]
+        lines = journal.read_bytes().split(b"\n")
+        assert lines[:2] == [b"not a journal", b"still not"]
+        assert json.loads(lines[2])["seq"] == 1
 
     def test_programmatic_source_is_skipped_with_report(self, tmp_path):
         from repro import MemorySource
@@ -240,6 +289,148 @@ class TestRecovery:
         cache._admit("k", "erp", None, [[(1,)]], 8, pre_epoch)
         assert cache.stats()["rejected_stale"] == 1
         assert cache.stats()["admissions"] == 0
+
+
+# ---------------------------------------------------------------------------
+# crash points: recovery must not depend on where the journal was cut
+# ---------------------------------------------------------------------------
+
+PRUNED_SQL = "SELECT name FROM all_customers WHERE id = 11"
+
+
+def crash_config(journal_path: str) -> dict:
+    """``base_config`` plus a second table on ``crm`` (for a prunable
+    UNION ALL view) and a throwaway ``archive`` source to unregister."""
+    config = base_config(journal_path)
+    config["sources"]["crm"]["tables"]["CUSTOMERS_OLD"] = {
+        "columns": [["id", "INT"], ["name", "TEXT"]],
+        "rows": [[10, "Eve"], [11, "Finn"], [12, "Gus"]],
+    }
+    config["sources"]["archive"] = {
+        "type": "memory",
+        "tables": {"ARCHIVE": {"columns": [["k", "INT"]], "rows": [[1]]}},
+    }
+    config["tables"] += [
+        {"name": "customers_old", "source": "crm",
+         "remote_table": "CUSTOMERS_OLD"},
+        {"name": "archive", "source": "archive", "remote_table": "ARCHIVE"},
+    ]
+    return config
+
+
+def record_lifecycle_journal(path: str) -> bytes:
+    """One life of lifecycle traffic; returns the journal it left."""
+    gis = build_from_config(crash_config(path))  # registrations + ANALYZE
+    gis.notify_source_changed("erp")
+    gis.analyze(["orders"], sample_rows=2)  # journals exact = false
+    gis.query(
+        "CREATE MATERIALIZED VIEW pricey AS "
+        "SELECT oid, total FROM orders WHERE total > 500"
+    )
+    gis.unregister_source("archive")
+    gis.create_view(
+        "all_customers",
+        "SELECT id, name FROM customers UNION ALL "
+        "SELECT id, name FROM customers_old",
+    )
+    assert "Union(pruned crm by id)" in gis.explain(PRUNED_SQL)
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def catalog_picture(gis) -> dict:
+    """Everything recovery must reproduce: catalog status (minus the
+    journal's own position, the replay report and runtime health),
+    statistics, and EXPLAIN text — or the error EXPLAIN raises."""
+    status = gis.catalog_status()
+    for volatile in ("journal", "recovery", "health"):
+        del status[volatile]
+    # Snapshot replay re-creates materialized views after every table, so
+    # only the listing order of a recovered catalog may differ.
+    status["tables"].sort(key=lambda table: table["name"])
+    statistics = {}
+    for name in gis.catalog.table_names():
+        stats = gis.catalog.statistics(name)
+        if stats is not None:
+            statistics[name] = stats.to_dict()
+    plans = {}
+    for sql in WORKLOAD + [PRUNED_SQL]:
+        try:
+            plans[sql] = gis.explain(sql)
+        except GISError as exc:
+            plans[sql] = f"{type(exc).__name__}: {exc}"
+    return {"status": status, "statistics": statistics, "plans": plans}
+
+
+def split_clock(picture: dict):
+    """``(picture without version counters, the counters)``."""
+    status = json.loads(json.dumps(picture["status"]))
+    clock = {"catalog": status.pop("catalog_epoch")}
+    for source in status["sources"]:
+        clock["source " + source["name"]] = source.pop("epoch")
+    for table in status["tables"]:
+        clock["schema " + table["name"]] = table.pop("schema_version")
+        clock["stats " + table["name"]] = table.pop("stats_version")
+    return dict(picture, status=status), clock
+
+
+def crash_offsets(journal: bytes):
+    """Every record boundary ``b`` with ``b - 1`` and ``b + 1``, plus 8
+    evenly spaced offsets inside each record."""
+    offsets = {0, 1}
+    start = 0
+    while start < len(journal):
+        end = journal.index(b"\n", start) + 1
+        offsets.update({end - 1, end, end + 1})
+        offsets.update(start + (end - start) * j // 9 for j in range(1, 9))
+        start = end
+    return sorted(t for t in offsets if t <= len(journal))
+
+
+def test_recovery_is_independent_of_the_crash_point(tmp_path):
+    journal = record_lifecycle_journal(str(tmp_path / "recorded.jsonl"))
+    boundaries = [0] + [i + 1 for i, byte in enumerate(journal) if byte == 10]
+    prefixes = {}
+    # A restart is a function of the journal bytes it reads, so the second
+    # restart is shared by every cut whose first one compacted alike.
+    second_restarts = {}
+
+    def restart(name: str, data: bytes, twice: bool = True):
+        path = tmp_path / name
+        path.write_bytes(data)
+        config = crash_config(str(path))
+        first = catalog_picture(build_from_config(config))
+        if not twice:
+            return first, None
+        compacted = path.read_bytes()
+        if compacted not in second_restarts:
+            second_restarts[compacted] = catalog_picture(
+                build_from_config(config)
+            )
+        return first, second_restarts[compacted]
+
+    def prefix_picture(index: int) -> dict:
+        if index not in prefixes:
+            prefixes[index] = restart(
+                f"prefix{index}.jsonl", journal[: boundaries[index]],
+                twice=False,
+            )[0]
+        return prefixes[index]
+
+    for offset in crash_offsets(journal):
+        # The last newline-terminated prefix; a record cut only before
+        # its newline is complete, so it may recover one record further.
+        index = max(i for i, b in enumerate(boundaries) if b <= offset)
+        allowed = [prefix_picture(index)]
+        if index + 1 < len(boundaries) and offset == boundaries[index + 1] - 1:
+            allowed.append(prefix_picture(index + 1))
+        first, second = restart(f"cut{offset}.jsonl", journal[:offset])
+        assert first in allowed, f"cut at byte {offset}"
+        first_shape, first_clock = split_clock(first)
+        second_shape, second_clock = split_clock(second)
+        assert second_shape == first_shape, f"second restart, cut {offset}"
+        for counter, value in first_clock.items():
+            assert second_clock[counter] >= value, (offset, counter)
 
 
 # ---------------------------------------------------------------------------

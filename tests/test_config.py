@@ -76,14 +76,35 @@ class TestBuild:
         with pytest.raises(PlanError):
             build_from_config(config)
 
-    def test_cache_and_retries(self):
+    def test_fragment_retries(self):
         config = base_config()
-        config["result_cache_size"] = 4
         config["fragment_retries"] = 2
         gis = build_from_config(config)
         assert gis.fragment_retries == 2
-        gis.query("SELECT COUNT(*) FROM orders")
-        assert gis.query("SELECT COUNT(*) FROM orders").metrics.network.cache_hit
+        assert gis.query("SELECT COUNT(*) FROM orders").scalar() == 3
+
+    def test_unknown_top_level_key_rejected(self):
+        # The key of the removed result cache: an old config must fail
+        # loudly rather than silently run without it.
+        config = base_config()
+        config["result_cache_size"] = 4
+        with pytest.raises(CatalogError, match="result_cache_size"):
+            build_from_config(config)
+
+    def test_serve_section_is_a_known_top_level_key(self, tmp_path):
+        # `--config cfg.json --serve` builds the federation from the whole
+        # file, then parses its serve section into the server's config.
+        from repro.config import build_server_config, load_config
+
+        config = base_config()
+        config["serve"] = {"port": 7432, "tenants": {"a": {"token": "t"}}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        gis = load_config(str(path))
+        assert gis.query("SELECT COUNT(*) FROM orders").scalar() == 3
+        server_config = build_server_config(config["serve"])
+        assert server_config.port == 7432
+        assert server_config.tenants["a"].token == "t"
 
     def test_replicas(self):
         config = base_config()

@@ -557,3 +557,13 @@ class TestExplainAnalyzeTimings:
         for line in plan:
             assert re.search(r"\[\d+ rows(?: / \d+ batches)? / [\d.]+ ms\]",
                              line), line
+
+    def test_explain_analyze_counts_as_a_query(self, small_gis):
+        small_gis.obs = Observability(metrics=True)
+        before = small_gis.network.total.messages
+        small_gis.explain_analyze("SELECT COUNT(*) FROM customers")
+        shipped = small_gis.network.total.messages - before
+        counters = small_gis.obs.registry.snapshot()["counters"]
+        assert shipped > 0
+        assert counters["queries_total"] == 1
+        assert counters["messages_total"] == shipped

@@ -153,7 +153,7 @@ class TestPlanCache:
         sql = "SELECT COUNT(*) FROM orders"
         gis.query(sql)
         assert gis.query(sql).metrics.network.plan_cache_hit
-        gis.analyze()  # bumps the epoch via clear_result_cache
+        gis.analyze()  # bumps the plan-cache epoch
         after = gis.query(sql)
         assert not after.metrics.network.plan_cache_hit
         assert gis.plan_cache.stats()["invalidations"] >= 1
@@ -280,14 +280,6 @@ class TestPreparedStatements:
         # ...and the handle re-pins the fresh plan for the next call.
         assert prepared.execute([100]).metrics.network.plan_cache_hit
 
-    def test_prepared_results_skip_result_cache(self):
-        gis = make_cached_gis()
-        gis._result_cache_size = 8
-        prepared = gis.prepare("SELECT COUNT(*) FROM orders")
-        prepared.execute()
-        second = prepared.execute()
-        assert not second.metrics.network.cache_hit
-
 
 # ---------------------------------------------------------------------------
 # thread safety (satellite: 8-thread hammer on one mediator)
@@ -297,7 +289,6 @@ class TestPreparedStatements:
 class TestConcurrentMediator:
     def test_eight_thread_hammer_matches_reference(self):
         gis = make_cached_gis(plan_cache_size=32)
-        gis._result_cache_size = 16
         templates = [
             "SELECT name FROM customers WHERE balance > {}",
             "SELECT oid, total FROM orders WHERE total > {}",

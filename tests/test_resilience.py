@@ -53,10 +53,8 @@ SCHEMA = schema_from_pairs("t", [("a", "INT"), ("b", "TEXT")])
 ROWS = [(i, f"v{i}") for i in range(2500)]  # > 1 page at default page size
 
 
-def build(source, retries=0, cache=0):
-    gis = GlobalInformationSystem(
-        fragment_retries=retries, result_cache_size=cache
-    )
+def build(source, retries=0):
+    gis = GlobalInformationSystem(fragment_retries=retries)
     source.add_table("t", SCHEMA, ROWS)
     gis.register_source("flaky", source)
     gis.register_table("t", source="flaky")
@@ -94,61 +92,6 @@ class TestFragmentRetries:
         gis = build(FlakySource("flaky", failures=1))
         with pytest.raises(SourceError, match="'flaky'"):
             gis.query("SELECT 1 FROM t LIMIT 1")
-
-
-class TestResultCache:
-    def test_cache_hit_skips_network(self):
-        gis = build(MemorySource("flaky"), cache=8)
-        first = gis.query("SELECT COUNT(*) FROM t")
-        before = gis.network.total.messages
-        second = gis.query("SELECT COUNT(*) FROM t")
-        assert second.rows == first.rows
-        assert second.metrics.network.cache_hit
-        assert gis.network.total.messages == before
-        assert gis.cache_hits == 1
-
-    def test_different_options_are_different_entries(self):
-        gis = build(MemorySource("flaky"), cache=8)
-        gis.query("SELECT COUNT(*) FROM t")
-        result = gis.query(
-            "SELECT COUNT(*) FROM t", PlannerOptions(pushdown="scans-only")
-        )
-        assert not result.metrics.network.cache_hit
-
-    def test_lru_eviction(self):
-        gis = build(MemorySource("flaky"), cache=2)
-        gis.query("SELECT 1 FROM t LIMIT 1")
-        gis.query("SELECT 2 FROM t LIMIT 1")
-        gis.query("SELECT 3 FROM t LIMIT 1")  # evicts query "1"
-        result = gis.query("SELECT 1 FROM t LIMIT 1")
-        assert not result.metrics.network.cache_hit
-
-    def test_analyze_invalidates(self):
-        gis = build(MemorySource("flaky"), cache=8)
-        gis.query("SELECT COUNT(*) FROM t")
-        gis.analyze()
-        result = gis.query("SELECT COUNT(*) FROM t")
-        assert not result.metrics.network.cache_hit
-
-    def test_new_view_invalidates(self):
-        gis = build(MemorySource("flaky"), cache=8)
-        gis.query("SELECT COUNT(*) FROM t")
-        gis.create_view("v", "SELECT a FROM t")
-        result = gis.query("SELECT COUNT(*) FROM t")
-        assert not result.metrics.network.cache_hit
-
-    def test_cached_rows_are_isolated(self):
-        gis = build(MemorySource("flaky"), cache=8)
-        first = gis.query("SELECT a FROM t LIMIT 3")
-        first.rows.append(("tampered",))
-        second = gis.query("SELECT a FROM t LIMIT 3")
-        assert len(second.rows) == 3
-
-    def test_disabled_by_default(self):
-        gis = build(MemorySource("flaky"))
-        gis.query("SELECT COUNT(*) FROM t")
-        result = gis.query("SELECT COUNT(*) FROM t")
-        assert not result.metrics.network.cache_hit
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +363,9 @@ UNION_SQL = (
 PARTIAL = PlannerOptions(on_source_failure="partial")
 
 
-def build_three(dead="s2", retries=0, cache=0, faults=None):
+def build_three(dead="s2", retries=0, faults=None):
     """Three single-table sources; ``dead`` (if any) refuses every call."""
-    gis = GlobalInformationSystem(
-        fragment_retries=retries, result_cache_size=cache, faults=faults
-    )
+    gis = GlobalInformationSystem(fragment_retries=retries, faults=faults)
     for name in ("s1", "s2", "s3"):
         source = BrokenSource(name) if name == dead else MemorySource(name)
         source.add_table(
@@ -474,17 +415,6 @@ class TestPartialResults:
         # The retry recovered the source, so nothing was excluded.
         assert result.complete is True
         assert result.scalar() == 2500
-
-    def test_partial_results_never_cached(self):
-        gis = build_three(dead="s2", cache=8)
-        first = gis.query(UNION_SQL, PARTIAL)
-        assert not first.complete
-        second = gis.query(UNION_SQL, PARTIAL)
-        assert not second.metrics.network.cache_hit
-        # Complete results through the same cache still hit.
-        gis.query("SELECT a FROM t_s1", PARTIAL)
-        third = gis.query("SELECT a FROM t_s1", PARTIAL)
-        assert third.metrics.network.cache_hit
 
     def test_partial_with_injected_faults(self):
         plan = FaultPlan.of(s1=FaultSpec(fail_connect=99))

@@ -561,32 +561,3 @@ class TestThreadSafety:
             thread.join(timeout=30)
         assert not errors
         assert all(rows == expected for rows in results)
-
-    def test_result_cache_under_concurrency(self):
-        federation = build_partitioned_orders(2, 50, seed=5)
-        source_gis = federation.gis
-        # Rebuild with a cache on the same sources via a fresh mediator is
-        # heavy; instead hammer an existing cached mediator.
-        gis = GlobalInformationSystem(result_cache_size=4)
-        mem = MemorySource("mem")
-        mem.add_table("t", SCHEMA, ROWS)
-        gis.register_source("mem", mem)
-        gis.register_table("t", source="mem")
-        sql = "SELECT COUNT(*) FROM t"
-        expected = gis.query(sql).scalar()
-        errors = []
-
-        def worker():
-            try:
-                for _ in range(20):
-                    assert gis.query(sql).scalar() == expected
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not errors
-        assert gis.cache_hits > 0

@@ -355,15 +355,15 @@ def test_materialized_view_ddl_roundtrip_and_errors():
         gis.query("CREATE MATERIALIZED VIEW broken WITH STALENESS x AS SELECT 1")
 
 
-def test_materialized_view_results_stay_out_of_result_cache():
-    gis = make_gis(result_cache_size=8)
+def test_materialized_view_results_stay_out_of_plan_cache():
+    gis = make_gis(plan_cache_size=8)
     gis.query("CREATE MATERIALIZED VIEW mv AS SELECT id FROM customers")
     first = gis.query("SELECT COUNT(*) FROM mv")
     assert first.metrics.network.materialized_view_hits == 1
     second = gis.query("SELECT COUNT(*) FROM mv")
-    # Served by the snapshot again — never by the result cache, whose
+    # Spliced from the snapshot again — never from a cached plan, whose
     # epoch invalidation cannot see the staleness clock.
-    assert not second.metrics.network.cache_hit
+    assert not second.metrics.network.plan_cache_hit
     assert second.metrics.network.materialized_view_hits == 1
 
 
@@ -404,12 +404,12 @@ def test_parse_utility_fast_path_and_syntax():
 
 
 # ---------------------------------------------------------------------------
-# result-cache key normalization (the spurious-miss bugfix) + stats
+# plan-cache key normalization (the spurious-miss bugfix) + stats
 # ---------------------------------------------------------------------------
 
 
-def test_result_cache_ignores_execution_only_knobs():
-    gis = make_gis(fragment_cache_bytes=0, result_cache_size=8)
+def test_plan_cache_ignores_execution_only_knobs():
+    gis = make_gis(fragment_cache_bytes=0, plan_cache_size=8)
     sql = "SELECT COUNT(*) FROM customers"
     base = PlannerOptions()
     gis.query(sql, base)
@@ -420,33 +420,31 @@ def test_result_cache_ignores_execution_only_knobs():
         base.but(trace=True),
     ):
         hit = gis.query(sql, variant)
-        assert hit.metrics.network.cache_hit, variant
-    stats = gis.result_cache_stats()
+        assert hit.metrics.network.plan_cache_hit, variant
+    stats = gis.plan_cache.stats()
     assert stats["hits"] == 4 and stats["misses"] == 1
     assert stats["entries"] == 1
 
 
-def test_result_cache_still_keys_on_plan_shaping_knobs():
-    gis = make_gis(fragment_cache_bytes=0, result_cache_size=8)
+def test_plan_cache_still_keys_on_plan_shaping_knobs():
+    gis = make_gis(fragment_cache_bytes=0, plan_cache_size=8)
     sql = "SELECT COUNT(*) FROM customers"
     gis.query(sql, PlannerOptions())
     miss = gis.query(sql, PlannerOptions(pushdown="scans-only"))
-    assert not miss.metrics.network.cache_hit
+    assert not miss.metrics.network.plan_cache_hit
 
 
 def test_cache_metrics_reach_the_registry():
     from repro.obs import Observability
 
-    gis = make_gis(
-        result_cache_size=4, observability=Observability(metrics=True)
-    )
+    gis = make_gis(observability=Observability(metrics=True))
     sql = "SELECT id FROM customers WHERE score > 10"
     gis.query(sql)
-    gis.query(sql)  # result-cache hit (fragment cache untouched)
+    gis.query(sql)  # fragment-cache hit
     snapshot = gis.obs.registry.snapshot()
     counters = snapshot["counters"]
-    assert counters["result_cache_hits_total"] == 1
     assert counters["fragment_cache_misses_total"] == 1
+    assert counters["fragment_cache_hits_total"] == 1
     gauges = snapshot["gauges"]
-    assert gauges["result_cache.hits"] == 1.0
+    assert gauges["fragment_cache.hits"] == 1.0
     assert gauges["fragment_cache.entries"] == 1.0

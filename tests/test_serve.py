@@ -39,11 +39,10 @@ class SlowSource(MemorySource):
         yield from super().execute_pages(fragment, page_rows)
 
 
-def make_serve_gis(plan_cache_size=64, result_cache_size=0):
+def make_serve_gis(plan_cache_size=64):
     """The conftest federation plus a genuinely slow source."""
     gis = make_small_gis()
     gis.plan_cache.capacity = plan_cache_size
-    gis._result_cache_size = result_cache_size
     slow = SlowSource("slowsrc")
     slow.add_table(
         "events",
@@ -188,8 +187,9 @@ class TestWireFidelity:
         assert not result.complete
         assert "crm" in result.excluded_sources
 
-    def test_partial_results_never_enter_result_cache(self):
-        gis = make_serve_gis(result_cache_size=8)
+    def test_partial_results_never_enter_fragment_cache(self):
+        gis = make_serve_gis()
+        gis.fragment_cache.budget_bytes = 1 << 20
         server = QueryServer(gis, ServerConfig(max_workers=2))
         host, port = server.start_background()
         try:
@@ -204,9 +204,10 @@ class TestWireFidelity:
                     },
                 )
                 assert not partial.complete
-                assert len(gis._result_cache) == 0
+                assert gis.fragment_cache.stats()["admissions"] == 0
                 healthy = client.query("SELECT name FROM customers")
                 assert healthy.complete and len(healthy.rows) == 5
+                assert gis.fragment_cache.stats()["admissions"] == 1
         finally:
             server.stop_background()
 
