@@ -113,13 +113,13 @@ def main() -> None:
     for span in fragments:
         if span.parent_id != execute.span_id:
             fail(f"fragment span {span.name} not parented under execute")
-        if span.attributes.get("mode") == "parallel" and (
+        if span.attributes.get("mode", "").startswith("parallel") and (
             span.thread_name == execute.thread_name
         ):
             fail(f"parallel fragment {span.name} ran on the mediator thread")
     workers = {
         s.thread_name for s in fragments
-        if s.attributes.get("mode") == "parallel"
+        if s.attributes.get("mode", "").startswith("parallel")
     }
     if not workers:
         fail("no fragment ran under the parallel scheduler")

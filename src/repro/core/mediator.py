@@ -55,12 +55,22 @@ from .prepared import (
     parameterize,
 )
 from .result import QueryMetrics, QueryResult
-from .scheduler import (
-    CircuitBreakerRegistry,
-    Deadline,
-    FragmentScheduler,
-    SchedulerConfig,
+from .scheduler import CircuitBreakerRegistry, Deadline, SchedulerConfig
+
+#: PlannerOptions fields that steer only execution, never the plan.
+EXECUTION_ONLY_OPTIONS = (
+    "max_parallel_fragments", "max_parallel_per_source",
+    "fragment_timeout_ms", "retry_backoff_ms", "retry_backoff_multiplier",
+    "retry_backoff_max_ms", "retry_jitter", "breaker_failure_threshold",
+    "breaker_reset_ms", "batch_size", "trace", "deadline_ms",
+    "on_source_failure", "faults", "adaptive_timeout", "timeout_multiplier",
+    "timeout_floor_ms", "timeout_ceiling_ms", "hedge_fragments",
+    "hedge_delay_ms", "hedge_quantile", "health_routing",
 )
+
+_EXECUTION_DEFAULTS = {
+    name: getattr(PlannerOptions(), name) for name in EXECUTION_ONLY_OPTIONS
+}
 
 
 class GlobalInformationSystem:
@@ -559,27 +569,10 @@ class GlobalInformationSystem:
 
     @staticmethod
     def _plan_key_options(opts: PlannerOptions) -> PlannerOptions:
-        """Normalize options into the plan-cache key.
-
-        Knobs that only affect *execution* (deadlines, fault plans, trace,
-        failure policy) are masked out so requests that differ only in
-        runtime behavior share one plan.
-        """
-        return opts.but(
-            faults=None,
-            trace=False,
-            deadline_ms=0.0,
-            on_source_failure="fail",
-            # Tail-tolerance knobs steer fetching, never the plan shape.
-            adaptive_timeout=False,
-            timeout_multiplier=3.0,
-            timeout_floor_ms=50.0,
-            timeout_ceiling_ms=30000.0,
-            hedge_fragments=False,
-            hedge_delay_ms=50.0,
-            hedge_quantile=0.95,
-            health_routing=False,
-        )
+        """Normalize options into the plan-cache key: every
+        :data:`EXECUTION_ONLY_OPTIONS` field is reset to its default, so
+        requests that differ only in runtime behavior share one plan."""
+        return opts.but(**_EXECUTION_DEFAULTS)
 
     def _plan_for_query(
         self, sql: str, options: Optional[PlannerOptions], tracer, parent
@@ -664,8 +657,8 @@ class GlobalInformationSystem:
     def _execution_context(
         self, options: Optional[PlannerOptions]
     ) -> ExecutionContext:
-        """Build the runtime context for one query, arming the fragment
-        scheduler and circuit breakers when the options call for them."""
+        """Build the runtime context for one query: its fragment
+        scheduler, circuit breakers, deadline and fault injector."""
         opts = options or self.planner.options
         config = SchedulerConfig.from_options(opts, self.fragment_retries)
         # Per-query fault plans get a fresh injector (deterministic
@@ -690,38 +683,28 @@ class GlobalInformationSystem:
             ),
             health=self.health,
         )
-        if config.scheduled:
-            context.scheduler = FragmentScheduler(config)
-            if config.parallel:
-                mode = f"parallel({config.max_parallel_fragments})"
-            else:
-                mode = "sequential+timeout"
-            context.metrics.scheduler_mode = mode
         return context
 
     def _execute(self, planned: PlannedQuery, context: ExecutionContext) -> List[Tuple[Any, ...]]:
-        """Drain the physical plan batch-at-a-time, prestarting independent
-        exchanges so their sources transfer concurrently; always tears the
-        scheduler down (abandoning workers of failed/hung fragments)."""
+        """Drain the physical plan batch-at-a-time, offering the scheduler
+        every independent exchange to prestart; always tears the scheduler
+        down (abandoning workers of failed/hung fragments)."""
         scheduler = context.scheduler
-        if scheduler is None:
-            return self._drain_batches(planned.physical, context)
         try:
-            if context.scheduler_config.parallel:
-                # Don't prestart a fetch the fragment cache is about to
-                # answer — the worker would charge the network for pages
-                # nobody consumes. (A prestarted exchange may still
-                # *fill* the cache; it just never replays from it.)
-                cache = context.fragment_cache
-                scheduler.prestart(
-                    (
-                        op
-                        for op in planned.physical.walk()
-                        if isinstance(op, ExchangeExec)
-                        and (cache is None or not cache.would_serve(op.fragment))
-                    ),
-                    context,
-                )
+            # Don't offer a fetch the fragment cache is about to answer —
+            # a worker would charge the network for pages nobody consumes.
+            # (A prestarted exchange may still *fill* the cache; it just
+            # never replays from it.)
+            cache = context.fragment_cache
+            scheduler.prestart(
+                (
+                    op
+                    for op in planned.physical.walk()
+                    if isinstance(op, ExchangeExec)
+                    and (cache is None or not cache.would_serve(op.fragment))
+                ),
+                context,
+            )
             return self._drain_batches(planned.physical, context)
         finally:
             scheduler.close(context)

@@ -31,6 +31,7 @@ import datetime
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -83,7 +84,7 @@ from .logical import (
     ValuesOp,
     WindowOp,
 )
-from .scheduler import SchedulerConfig, fetch_pages
+from .scheduler import FragmentScheduler, SchedulerConfig
 
 if TYPE_CHECKING:
     from .planner import PlannerOptions
@@ -144,7 +145,9 @@ class ExecutionContext:
     ``scheduler_config`` (default ``SchedulerConfig()``: sequential, no
     retries) is what every fetch envelope reads — the retry policy, breaker
     threshold and health routing — and ``breakers`` holds the per-source
-    circuit breakers (see :mod:`repro.core.scheduler`). Metrics
+    circuit breakers (see :mod:`repro.core.scheduler`). ``scheduler`` is
+    this query's :class:`~repro.core.scheduler.FragmentScheduler`, the one
+    executor of fragment fetches whatever the degree. Metrics
     accumulation is lock-protected because scheduler worker threads charge
     transfers concurrently.
 
@@ -184,7 +187,7 @@ class ExecutionContext:
         #: None. Producers feed it page-fetch latencies and outcomes;
         #: adaptive timeouts, hedge delays, and health routing read it.
         self.health = health
-        self.scheduler = None  # set by the mediator when config.scheduled
+        self.scheduler: FragmentScheduler = FragmentScheduler(self.scheduler_config)
         self.batch_size = max(batch_size, 1)
         #: The mediator's semantic fragment cache (repro.cache), or None.
         #: Exchanges probe it before fetching and fill it on miss.
@@ -202,7 +205,7 @@ class ExecutionContext:
         self.on_source_failure = on_source_failure
         #: ``source -> reason`` for sources excluded under "partial".
         self.excluded_sources: Dict[str, str] = {}
-        self.metrics = ExecutionMetrics()
+        self.metrics = ExecutionMetrics(scheduler_mode=self.scheduler.mode)
         self._metrics_lock = threading.Lock()
         # Tracing hooks (see repro.obs): the mediator arms these per query.
         # Operators and the scheduler call them unconditionally — the NULL
@@ -587,10 +590,10 @@ class StaticRowsExec(PhysicalOperator):
 class ExchangeExec(PhysicalOperator):
     """Fetch a fragment's result from its source over the simulated network.
 
-    ``mode`` is "sequential" (pull pages inline, the classic path) or
-    "parallel" (async-pull: a scheduler worker thread fetches pages into a
-    bounded queue that this operator drains — see
-    :class:`repro.core.scheduler.FragmentScheduler`).
+    The query's :class:`~repro.core.scheduler.FragmentScheduler` runs the
+    fetch — inline on this operator's thread, or on a worker thread
+    feeding a bounded page queue that this operator drains. Which one is
+    a runtime choice; the operator and the plan are the same either way.
     """
 
     def __init__(
@@ -599,13 +602,11 @@ class ExchangeExec(PhysicalOperator):
         fragment: Fragment,
         columns: Sequence[RelColumn],
         page_rows: int,
-        mode: str = "sequential",
     ) -> None:
         super().__init__(columns)
         self.adapter = adapter
         self.fragment = fragment
         self.page_rows = max(page_rows, 1)
-        self.mode = mode
         self._sizer = make_batch_sizer(columns)
 
     def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
@@ -628,17 +629,12 @@ class ExchangeExec(PhysicalOperator):
             # A prestarted exchange already has a worker fetching (and
             # charging the network) — it may fill the cache but must not
             # replay from it.
-            prestarted = (
-                ctx.scheduler is not None and ctx.scheduler.was_prestarted(self)
-            )
+            prestarted = ctx.scheduler.was_prestarted(self)
             decision = cache.begin(self, ctx, allow_replay=not prestarted)
         if decision is not None and decision.replay is not None:
             pages = decision.replay
         else:
-            if ctx.scheduler is not None:
-                pages = ctx.scheduler.stream_exchange_pages(self, ctx)
-            else:
-                pages = self._direct_pages(ctx)
+            pages = ctx.scheduler.stream_exchange_pages(self, ctx)
             if decision is not None and decision.fill is not None:
                 pages = decision.fill(pages)
         # Normalize to columnar pages (a no-op for native adapters; legacy
@@ -652,27 +648,8 @@ class ExchangeExec(PhysicalOperator):
             ctx.check_deadline(source)
             yield batch
 
-    def _direct_pages(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        """The fragment's charged pages, fetched through the robustness
-        envelope on the caller's thread."""
-        ctx.metrics.fragments_executed += 1
-        source = self.fragment.source_name
-        span = ctx.trace_child(
-            f"fragment:{source}", "fragment", source=source, mode="sequential"
-        )
-        try:
-            yield from fetch_pages(
-                ctx, self.adapter, self.fragment, self.page_rows, span,
-                "direct", sizer=self._sizer,
-            )
-        finally:
-            span.end()
-
     def describe(self) -> str:
-        label = f"Exchange(source={self.fragment.source_name})"
-        if self.mode == "parallel":
-            label = label[:-1] + ", parallel)"
-        return label
+        return f"Exchange(source={self.fragment.source_name})"
 
 
 class FilterExec(PhysicalOperator):
@@ -1234,51 +1211,29 @@ class BindJoinExec(PhysicalOperator):
             # an empty key set proves the join is empty without touching
             # the source.
             return
-        source = self.remote.source_name
-        sizer = self._remote_sizer
-        key_sizer = self._key_sizer
         batches = [
             ordered[start : start + bind.batch_size]
             for start in range(0, len(ordered), bind.batch_size)
         ]
-        if ctx.scheduler is not None:
-            # Ship every key batch up front: the batches are independent
-            # reduced fragments, so they fetch concurrently (subject to the
-            # per-source cap) while we drain them in order.
-            tasks = []
-            for batch in batches:
-                ctx.add_metric("semijoin_batches", 1)
-                ctx.charge_request(source, key_sizer(batch))
-                tasks.append(
-                    ctx.scheduler.submit_fragment(
-                        self.adapter,
-                        self._batch_fragment(batch),
-                        self.page_rows,
-                        ctx,
-                        sizer=sizer,
-                    )
-                )
-            for task in tasks:
-                yield from ctx.scheduler.stream_pages(task, ctx)
-            return
-        span = ctx.trace_child(
-            f"fragment:{source}", "fragment", source=source, mode="bindjoin",
-            key_batches=len(batches),
-        )
-        try:
-            # One envelope per key batch, as the scheduler gives each
-            # batch its own task: a batch retries, falls back or fails on
-            # its own, after earlier batches' rows were consumed.
-            for number, batch in enumerate(batches):
-                ctx.metrics.semijoin_batches += 1
-                ctx.charge_request(source, key_sizer(batch))
-                span.event("key-batch", keys=len(batch))
-                yield from fetch_pages(
-                    ctx, self.adapter, self._batch_fragment(batch),
-                    self.page_rows, span, f"bind{number}", sizer=sizer,
-                )
-        finally:
-            span.end()
+        # One task per key batch, all submitted up front (workers fetch
+        # them concurrently) and drained in order; each upload is charged
+        # as its batch's fetch starts.
+        scheduler = ctx.scheduler
+        tasks = [
+            scheduler.submit_fragment(
+                self.adapter, self._batch_fragment(batch), self.page_rows,
+                ctx, sizer=self._remote_sizer,
+                on_start=partial(self._ship_keys, ctx, batch),
+            )
+            for batch in batches
+        ]
+        for task in tasks:
+            yield from scheduler.stream_pages(task, ctx)
+
+    def _ship_keys(self, ctx: ExecutionContext, batch: Sequence[Any]) -> None:
+        """Charge one key batch's upload to the bound source."""
+        ctx.add_metric("semijoin_batches", 1)
+        ctx.charge_request(self.remote.source_name, self._key_sizer(batch))
 
 
 class HashAggregateExec(PhysicalOperator):
@@ -1611,13 +1566,11 @@ class PhysicalPlanner:
         self,
         catalog: Catalog,
         join_algorithm: str = "auto",
-        parallel_fragments: int = 1,
     ) -> None:
         if join_algorithm not in JOIN_ALGORITHMS:
             raise PlanError(f"unknown join algorithm {join_algorithm!r}")
         self._catalog = catalog
         self._join_algorithm = join_algorithm
-        self._parallel_fragments = max(parallel_fragments, 1)
 
     @classmethod
     def from_options(
@@ -1626,11 +1579,7 @@ class PhysicalPlanner:
         """The physical planner a ``PlannerOptions`` selects — the one
         construction site, shared by the planning (plan-cache miss) and
         rebinding (plan-cache hit) paths so they cannot disagree."""
-        return cls(
-            catalog,
-            join_algorithm=options.join_algorithm,
-            parallel_fragments=options.max_parallel_fragments,
-        )
+        return cls(catalog, join_algorithm=options.join_algorithm)
 
     def build(self, plan: LogicalPlan) -> PhysicalOperator:
         if isinstance(plan, RemoteQueryOp):
@@ -1736,7 +1685,6 @@ class PhysicalPlanner:
             Fragment(plan.source_name, plan.fragment),
             plan.columns,
             page_rows,
-            mode="parallel" if self._parallel_fragments > 1 else "sequential",
         )
 
     def _join(self, plan: JoinOp) -> PhysicalOperator:

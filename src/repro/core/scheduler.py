@@ -1,17 +1,16 @@
-"""Parallel fragment scheduler: real concurrent exchange execution.
+"""Fragment scheduler: the one executor of every fragment fetch.
 
-The 1989 GIS architecture assumes the mediator issues subqueries to many
-autonomous sources *concurrently*; until this module existed the engine
-drained exchanges one at a time and benchmarks merely simulated
-parallelism. :class:`FragmentScheduler` makes it real: every independent
-exchange fragment is fetched by its own worker thread, pages stream back
-through bounded queues (pipelined — the consumer joins while producers are
-still fetching), and a global plus per-source concurrency cap bounds the
-fan-out.
+How many of a query's subqueries run at once is a runtime choice that
+must not shape the plan, so it lives here alone (Volcano's *exchange*).
+Every execution context carries one :class:`FragmentScheduler`; exchanges
+and bind-join key batches submit tasks to it and drain their pages in
+order. Without a timeout or hedging and at ``max_parallel_fragments=1`` a
+task runs lazily on the caller's thread; otherwise each task gets a
+daemon worker thread, pages stream back through bounded queues, and a
+global plus per-source concurrency cap bounds the fan-out.
 
-Every source call — a sequential scan on the caller's thread, a bind-join
-key batch, or a scheduler worker — runs inside one **robustness
-envelope**, the :func:`fetch_pages` generator:
+Every task, on either executor, runs inside one **robustness envelope**,
+the :func:`fetch_pages` generator:
 
 * **health routing** — a fragment may be dispatched to a markedly
   healthier replica (:func:`health_route`);
@@ -25,15 +24,13 @@ envelope**, the :func:`fetch_pages` generator:
 * **health accounting** — page latencies and outcomes feed the source's
   health tracker.
 
-The scheduler adds what needs a second thread: the no-progress
+The worker executor adds what needs a second thread: the no-progress
 **timeout** (a fragment that makes no progress for ``fragment_timeout_ms``
 raises :class:`~repro.errors.SourceError` instead of hanging the query; the
 stuck worker is abandoned, threads are daemons) and first-page hedging.
-Without those knobs and at ``max_parallel_fragments=1`` no scheduler is
-constructed and the envelope runs on the caller's thread. Parallel mode
-returns bit-identical rows: each exchange's page order is preserved and
-operators drain exchanges in the same order — only wall-clock time and the
-interleaving of network charges change.
+Both executors return bit-identical rows: each task's page order is
+preserved and operators drain tasks in the same order — only wall-clock
+time and the interleaving of network charges change.
 """
 
 from __future__ import annotations
@@ -50,8 +47,6 @@ from ..obs.trace import NULL_SPAN
 from .fragments import Fragment
 from .logical import ScanOp, transform_plan
 from .pages import Page
-
-Row = Tuple[Any, ...]
 
 #: Pages buffered per fragment before its producer blocks (backpressure).
 QUEUE_DEPTH_PAGES = 8
@@ -78,8 +73,8 @@ class Deadline:
     """A per-query wall-clock budget for cooperative cancellation.
 
     Created by the mediator when ``PlannerOptions.deadline_ms > 0`` and
-    carried on the execution context through both the sequential path and
-    the parallel scheduler. Nothing preempts: operators *check* the
+    carried on the execution context into both of the scheduler's
+    executors. Nothing preempts: operators *check* the
     deadline at page boundaries, retry decisions refuse delays that cannot
     finish in budget, and queue waits are sliced so a consumer blocked on
     a slow producer still notices expiry promptly.
@@ -514,7 +509,7 @@ def fetch_pages(
     fragment: Fragment,
     page_rows: int,
     span,
-    seed,
+    seed: int,
     *,
     sizer=None,
     clock=time.monotonic,
@@ -535,10 +530,12 @@ def fetch_pages(
     The last attempt's outcome feeds the breaker and health tracker.
     Errors propagate to the consumer.
 
-    What differs between callers comes in as arguments: ``span`` is the
-    caller's fragment span (events and attributes only — the caller ends
+    Only :class:`FragmentScheduler` calls it, for inline and worker tasks
+    alike; what differs between them comes in as arguments: ``span`` is
+    the task's fragment span (events and attributes only — the caller ends
     it); the retry jitter stream is ``Random(f"{source}:{seed}")`` over the
-    dispatched source; ``clock`` times page latencies; ``slot_for(source)``
+    dispatched source, where ``seed`` is the task's submission index on
+    both executors; ``clock`` times page latencies; ``slot_for(source)``
     returns a per-source admission semaphore held across one attempt;
     ``cancelled()`` makes the generator return quietly, checked before
     each attempt and before charging each page; ``on_route(fragment)``
@@ -658,11 +655,11 @@ def fetch_pages(
 
 
 class _FragmentTask:
-    """One in-flight fragment fetch: its producer thread and page queue."""
+    """One fragment fetch, run inline by the thread that pulls it."""
 
     __slots__ = (
-        "index", "adapter", "fragment", "page_rows", "sizer", "queue",
-        "cancelled", "done", "virtual_ms", "thread", "span", "hedge",
+        "index", "adapter", "fragment", "page_rows", "sizer", "hedge",
+        "on_start", "virtual_ms", "span",
     )
 
     def __init__(
@@ -673,24 +670,34 @@ class _FragmentTask:
         page_rows: int,
         sizer=None,
         hedge: bool = False,
+        on_start=None,
     ):
         self.index = index
         self.adapter = adapter
         self.fragment = fragment
         self.page_rows = page_rows
         self.sizer = sizer
-        self.queue: "queue.Queue" = queue.Queue(maxsize=QUEUE_DEPTH_PAGES)
-        self.cancelled = False
-        self.done = False
-        self.virtual_ms = 0.0
-        self.thread: Optional[threading.Thread] = None
         #: A hedged duplicate fetch racing a straggling primary; its
         #: traffic is charged normally but also tallied under hedges_*.
         self.hedge = hedge
-        # Trace span for this fetch; the producer thread opens it (under
-        # the parent captured from the submitting thread's context) and the
-        # consumer may close it on timeout — Span.end is race-safe.
+        self.on_start = on_start
+        self.virtual_ms = 0.0
+        # Trace span, opened where the fetch runs; the consumer may close
+        # a worker's span on timeout — Span.end is race-safe.
         self.span = NULL_SPAN
+
+
+class _WorkerTask(_FragmentTask):
+    """A fragment fetch on its own producer thread, feeding a queue."""
+
+    __slots__ = ("queue", "cancelled", "done", "thread")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.queue: "queue.Queue" = queue.Queue(maxsize=QUEUE_DEPTH_PAGES)
+        self.cancelled = False
+        self.done = False
+        self.thread: Optional[threading.Thread] = None
 
     def put(self, item, stop: threading.Event) -> bool:
         """Enqueue one item, giving up if the task or query is cancelled."""
@@ -704,25 +711,30 @@ class _FragmentTask:
 
 
 class FragmentScheduler:
-    """Runs fragment fetches on daemon worker threads with bounded queues.
+    """Runs one query's fragment fetches, inline or on worker threads.
 
-    One scheduler serves one query. ``prestart`` launches every independent
-    exchange before iteration begins, so by the time the root operator pulls
-    its first row all sources are transferring concurrently. Consumers
-    (:class:`~repro.core.physical.ExchangeExec` in async-pull mode, and
-    bind-join batch fetches) drain their fragment's queue in order, which
-    preserves the exact row order of sequential execution.
+    ``SchedulerConfig.scheduled`` picks the executor at construction;
+    callers see one interface either way. At degree > 1 ``prestart``
+    launches every independent exchange before iteration begins, so all
+    sources transfer concurrently. Consumers drain each task's pages in
+    order, which preserves the exact row order whatever the degree.
 
-    Producers are capped twice: ``max_parallel_fragments`` globally and
+    Workers are capped twice: ``max_parallel_fragments`` globally and
     ``max_parallel_per_source`` per component system (autonomous sources
     ration their own admission; the mediator must not stampede one site).
-    Worker threads are daemons and are *abandoned*, not joined, when a
-    fragment times out — the only safe option against a hung source.
+    They are daemons, *abandoned*, not joined, when a fragment times out —
+    the only safe option against a hung source.
     """
 
     def __init__(self, config: SchedulerConfig, clock=time.monotonic) -> None:
         self._config = config
         self._clock = clock
+        self._threaded = config.scheduled
+        #: How fragments run, as metrics and fragment spans report it.
+        self.mode = (
+            f"parallel({config.max_parallel_fragments})" if config.parallel
+            else "sequential+timeout" if self._threaded else "sequential"
+        )
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._global_slots = threading.Semaphore(max(config.max_parallel_fragments, 1))
@@ -735,7 +747,10 @@ class FragmentScheduler:
     # -- submission ---------------------------------------------------------
 
     def prestart(self, exchanges, ctx) -> None:
-        """Launch every independent exchange's fetch before iteration."""
+        """Launch every independent exchange's fetch before iteration
+        (degree > 1 only; otherwise each starts when first pulled)."""
+        if not self._config.parallel:
+            return
         for exchange in exchanges:
             if id(exchange) not in self._by_exchange:
                 ctx.add_metric("fragments_executed", 1)
@@ -750,9 +765,8 @@ class FragmentScheduler:
         in flight — the worker is charging the network regardless.)"""
         return id(exchange) in self._by_exchange
 
-    def stream_exchange_pages(self, exchange, ctx) -> Iterator[List[Row]]:
-        """Async-pull entry point for ExchangeExec: response pages in
-        production order."""
+    def stream_exchange_pages(self, exchange, ctx) -> Iterator[Page]:
+        """An exchange's response pages in production order."""
         task = self._by_exchange.get(id(exchange))
         if task is None:
             ctx.add_metric("fragments_executed", 1)
@@ -765,16 +779,23 @@ class FragmentScheduler:
 
     def submit_fragment(
         self, adapter, fragment: Fragment, page_rows: int, ctx, sizer=None,
-        hedge: bool = False,
+        hedge: bool = False, on_start=None,
     ) -> _FragmentTask:
-        """Start fetching one fragment in the background; returns its task."""
+        """Submit one fragment's fetch; returns its task. A worker task
+        starts now, an inline task when :meth:`stream_pages` first pulls
+        it; ``on_start()`` runs on the starting thread just before."""
         with self._lock:
             index = len(self._tasks)
-            task = _FragmentTask(
+            kind = _WorkerTask if self._threaded else _FragmentTask
+            task = kind(
                 index, adapter, fragment, max(page_rows, 1), sizer,
-                hedge=hedge,
+                hedge=hedge, on_start=on_start,
             )
             self._tasks.append(task)
+        if not isinstance(task, _WorkerTask):
+            return task
+        if on_start is not None:
+            on_start()
         thread = threading.Thread(
             target=self._produce,
             args=(task, ctx),
@@ -787,13 +808,27 @@ class FragmentScheduler:
 
     # -- consumption --------------------------------------------------------
 
-    def stream_pages(self, task: _FragmentTask, ctx) -> Iterator[List[Row]]:
-        """Yield the fragment's response pages in production order,
-        enforcing the no-progress timeout while waiting. Pages are handed
-        through exactly as the producer queued them (never re-chunked), so
-        the consumer sees the same page boundaries the network was charged
-        for. When the query carries a deadline the wait is sliced so
-        expiry is noticed promptly even with no fragment timeout set.
+    def stream_pages(self, task: _FragmentTask, ctx) -> Iterator[Page]:
+        """The fragment's pages in production order, exactly as the
+        network was charged for them (never re-chunked)."""
+        if isinstance(task, _WorkerTask):
+            return self._stream_worker(task, ctx)
+        return self._stream_inline(task, ctx)
+
+    def _stream_inline(self, task: _FragmentTask, ctx) -> Iterator[Page]:
+        if task.on_start is not None:
+            task.on_start()
+        span, pages = self._open(task, ctx, _never, None)
+        try:
+            yield from pages
+        finally:
+            span.end()
+
+    def _stream_worker(self, task: _WorkerTask, ctx) -> Iterator[Page]:
+        """Drain a worker task's queue, enforcing the no-progress timeout
+        while waiting. When the query carries a deadline the wait is
+        sliced so expiry is noticed promptly even with no fragment timeout
+        set.
 
         With hedging armed, the wait for the fragment's *first* page runs
         through :meth:`_stream_hedged`, which may race a duplicate fetch
@@ -826,11 +861,11 @@ class FragmentScheduler:
 
     def _stream_plain(
         self,
-        task: _FragmentTask,
+        task: _WorkerTask,
         ctx,
         timeout_ms: float,
         deadline: "Optional[Deadline]",
-    ) -> Iterator[List[Row]]:
+    ) -> Iterator[Page]:
         timeout_s = timeout_ms / 1000.0 if timeout_ms > 0 else None
         while True:
             if task.queue.empty() and not task.done:
@@ -848,8 +883,8 @@ class FragmentScheduler:
 
     def _fail_no_progress(
         self,
-        task: _FragmentTask,
-        hedge: "Optional[_FragmentTask]",
+        task: _WorkerTask,
+        hedge: "Optional[_WorkerTask]",
         ctx,
         timeout_ms: float,
     ) -> None:
@@ -888,8 +923,8 @@ class FragmentScheduler:
         )
 
     def _launch_hedge(
-        self, primary: _FragmentTask, ctx
-    ) -> "Optional[_FragmentTask]":
+        self, primary: _WorkerTask, ctx
+    ) -> "Optional[_WorkerTask]":
         """Start the duplicate fetch on the healthiest admitted replica."""
         target = hedge_target(
             ctx.catalog, primary.fragment, ctx.breakers, ctx.health
@@ -902,18 +937,20 @@ class FragmentScheduler:
             "hedge-launched",
             primary=primary.fragment.source_name, replica=source,
         )
-        return self.submit_fragment(
+        task = self.submit_fragment(
             adapter, fragment, primary.page_rows, ctx,
             sizer=primary.sizer, hedge=True,
         )
+        assert isinstance(task, _WorkerTask)  # hedging implies workers
+        return task
 
     def _stream_hedged(
         self,
-        primary: _FragmentTask,
+        primary: _WorkerTask,
         ctx,
         timeout_ms: float,
         deadline: "Optional[Deadline]",
-    ) -> Iterator[List[Row]]:
+    ) -> Iterator[Page]:
         """Race the primary fetch against a late-launched replica hedge.
 
         The race covers only the *first* item: once either stream
@@ -929,11 +966,11 @@ class FragmentScheduler:
         health = getattr(ctx, "health", None)
         delay_ms = self._hedge_delay_ms(source, ctx)
         started = self._clock()
-        hedge: "Optional[_FragmentTask]" = None
+        hedge: "Optional[_WorkerTask]" = None
         no_target = False
-        winner: "Optional[_FragmentTask]" = None
+        winner: "Optional[_WorkerTask]" = None
         first = None
-        failures: List[Tuple[_FragmentTask, BaseException]] = []
+        failures: List[Tuple[_WorkerTask, BaseException]] = []
         while winner is None:
             if deadline is not None and deadline.remaining_ms() <= 0:
                 primary.cancelled = True
@@ -1010,7 +1047,7 @@ class FragmentScheduler:
 
     def _next_item(
         self,
-        task: _FragmentTask,
+        task: _WorkerTask,
         ctx,
         timeout_s: Optional[float],
         deadline: "Optional[Deadline]",
@@ -1053,6 +1090,8 @@ class FragmentScheduler:
         scheduler statistics into the query's metrics."""
         self._stop.set()
         for task in self._tasks:
+            if not isinstance(task, _WorkerTask):
+                continue
             task.cancelled = True
             while True:
                 try:
@@ -1081,7 +1120,7 @@ class FragmentScheduler:
                 self._source_slots[key] = slot
             return slot
 
-    def _produce(self, task: _FragmentTask, ctx) -> None:
+    def _produce(self, task: _WorkerTask, ctx) -> None:
         def cancelled() -> bool:
             return self._stop.is_set() or task.cancelled
 
@@ -1104,20 +1143,15 @@ class FragmentScheduler:
             if not task.hedge:
                 self._global_slots.release()
 
-    def _run_envelope(self, task: _FragmentTask, ctx, cancelled) -> None:
-        """Run one fragment's :func:`fetch_pages` envelope on this worker,
-        queueing its pages, then its end or its error, for the consumer.
-
-        The trace span is opened here, on the worker thread, under the
-        parent captured from the submitting query's context
-        (``ctx.trace_span``) — explicit cross-thread context propagation.
-        It is also activated thread-locally so any nested instrumentation
-        on this worker parents correctly.
-        """
+    def _open(
+        self, task: _FragmentTask, ctx, cancelled, slot_for
+    ) -> Tuple[Any, Generator[Page, None, None]]:
+        """A task's ``fragment:<source>`` span (the caller ends it) and
+        :func:`fetch_pages` generator, for inline and worker tasks alike."""
         source = task.fragment.source_name
         span = ctx.trace_child(
             f"fragment:{source}", "fragment",
-            source=source, mode="parallel", worker=task.index,
+            source=source, mode=self.mode, worker=task.index,
         )
         if task.hedge:
             span.set_attribute("hedge", True)
@@ -1135,10 +1169,23 @@ class FragmentScheduler:
 
         pages = fetch_pages(
             ctx, task.adapter, task.fragment, task.page_rows, span, task.index,
-            sizer=task.sizer, clock=self._clock, slot_for=self._source_slot,
+            sizer=task.sizer, clock=self._clock, slot_for=slot_for,
             cancelled=cancelled, route=not task.hedge, on_route=routed,
             on_charge=charged,
         )
+        return span, pages
+
+    def _run_envelope(self, task: _WorkerTask, ctx, cancelled) -> None:
+        """Run one fragment's :func:`fetch_pages` envelope on this worker,
+        queueing its pages, then its end or its error, for the consumer.
+
+        The trace span is opened here, on the worker thread, under the
+        parent captured from the submitting query's context
+        (``ctx.trace_span``) — explicit cross-thread context propagation.
+        It is also activated thread-locally so any nested instrumentation
+        on this worker parents correctly.
+        """
+        span, pages = self._open(task, ctx, cancelled, self._source_slot)
         item: Tuple[str, Any]
         with ctx.tracer.activate(span):
             try:

@@ -198,7 +198,7 @@ class TestTracedQueries:
         assert fragment.parent_id == execute.span_id
         assert fragment.thread_name != execute.thread_name
         assert fragment.thread_name.startswith("gis-fragment-")
-        assert fragment.attributes["mode"] == "parallel"
+        assert fragment.attributes["mode"] == "parallel(4)"
         assert any(name == "page" for name, _, _ in fragment.events)
 
     def test_sequential_fragment_span_records_pages(self):
@@ -208,6 +208,30 @@ class TestTracedQueries:
         assert fragment.attributes["mode"] == "sequential"
         page_events = [e for e in fragment.events if e[0] == "page"]
         assert sum(e[2]["rows"] for e in page_events) == 50
+
+    def test_sequential_bind_join_spans_one_fragment_per_key_batch(self):
+        gis, obs = traced_gis()
+        probe = MemorySource("probe")
+        probe.add_table(
+            "p", schema_from_pairs("p", [("k", "INT")]),
+            [(i,) for i in range(0, 60, 2)],
+        )
+        gis.register_source("probe", probe)
+        gis.register_table("p", source="probe")
+        mem = gis.catalog.source("mem")
+        mem._capabilities = mem.capabilities().restricted(in_list_max=10)
+        result = gis.query(
+            "SELECT t.b FROM p JOIN t ON p.k = t.a",
+            PlannerOptions(semijoin="force"),
+        )
+        assert result.metrics.network.semijoin_batches == 3
+        (execute,) = spans_named(obs.spans, "phase:execute")
+        batches = spans_named(obs.spans, "fragment:mem")
+        assert [s.attributes["mode"] for s in batches] == ["sequential"] * 3
+        assert all(s.parent_id == execute.span_id for s in batches)
+        assert all(
+            s.thread_name == execute.thread_name for s in batches
+        )
 
     def test_per_query_trace_option_forces_spans(self):
         gis = build(MemorySource("mem"))  # observability fully off

@@ -193,8 +193,9 @@ class TestPlanCache:
     def test_cache_hit_rebuilds_the_physical_plan_a_fresh_plan_would(self):
         # Both paths build operators through PhysicalPlanner.from_options,
         # so every plan-shaping option reaches the hit path too: the
-        # merge join, the parallel exchanges and the Project-over-Filter
-        # chain print identically on a miss, a hit and an uncached plan.
+        # merge join and the Project-over-Filter chain print identically
+        # on a miss, a hit and an uncached plan. The fetch degree shapes
+        # no operator, so the exchange carries no label for it.
         from repro.obs.trace import NULL_SPAN, NULL_TRACER
 
         gis = make_cached_gis()
@@ -215,7 +216,7 @@ class TestPlanCache:
         assert rebound.physical.explain().splitlines()[-3:] == [
             "    Project",
             "      Filter",
-            "        Exchange(source=erp, parallel)",
+            "        Exchange(source=erp)",
         ]
         assert "MergeJoin(INNER)" in rebound.physical.explain()
 

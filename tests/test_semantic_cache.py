@@ -418,11 +418,16 @@ def test_plan_cache_ignores_execution_only_knobs():
         base.but(hedge_fragments=True),
         base.but(deadline_ms=60000.0),
         base.but(trace=True),
+        base.but(max_parallel_fragments=4),
+        base.but(fragment_timeout_ms=100),
+        base.but(breaker_failure_threshold=3),
+        base.but(retry_backoff_ms=5),
+        base.but(batch_size=7),
     ):
         hit = gis.query(sql, variant)
         assert hit.metrics.network.plan_cache_hit, variant
     stats = gis.plan_cache.stats()
-    assert stats["hits"] == 4 and stats["misses"] == 1
+    assert stats["hits"] == 9 and stats["misses"] == 1
     assert stats["entries"] == 1
 
 

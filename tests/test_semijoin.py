@@ -9,6 +9,7 @@ from repro import (
     MemorySource,
     NetworkLink,
     PlannerOptions,
+    SourceError,
     SQLiteSource,
 )
 from repro.catalog.schema import schema_from_pairs
@@ -200,6 +201,23 @@ class TestBindJoinEnvelope:
         )
         assert result.rows == expected
         assert result.metrics.network.breaker_fallbacks == 1
+
+    def test_key_batch_upload_charged_as_its_fetch_starts(self, parallel):
+        # Three key batches against a source that never answers: at degree
+        # 1 batch 1 fails before batches 2 and 3 start, so only its upload
+        # crosses the wire; worker tasks start (and upload) at submission.
+        gis = build_gis(match_keys=60)
+        adapter = gis.catalog.source("right")
+        adapter._capabilities = adapter.capabilities().restricted(in_list_max=25)
+        plan = FaultPlan.of(right=FaultSpec(fail_connect=100, permanent=True))
+        with pytest.raises(SourceError):
+            gis.query(QUERY, self.forced(parallel, faults=plan))
+        ledger = gis.network.per_source()["right"]
+        uploads = 1 if parallel == 1 else 3
+        key_bytes = [8.0 * 25, 8.0 * 25, 8.0 * 10]  # 60 INT keys, cap 25
+        assert ledger.messages == uploads
+        assert ledger.rows == 0
+        assert ledger.bytes == sum(key_bytes[:uploads])
 
 
 class TestKeyValueBindJoin:
