@@ -55,22 +55,7 @@ from .prepared import (
     parameterize,
 )
 from .result import QueryMetrics, QueryResult
-from .scheduler import CircuitBreakerRegistry, Deadline, SchedulerConfig
-
-#: PlannerOptions fields that steer only execution, never the plan.
-EXECUTION_ONLY_OPTIONS = (
-    "max_parallel_fragments", "max_parallel_per_source",
-    "fragment_timeout_ms", "retry_backoff_ms", "retry_backoff_multiplier",
-    "retry_backoff_max_ms", "retry_jitter", "breaker_failure_threshold",
-    "breaker_reset_ms", "batch_size", "trace", "deadline_ms",
-    "on_source_failure", "faults", "adaptive_timeout", "timeout_multiplier",
-    "timeout_floor_ms", "timeout_ceiling_ms", "hedge_fragments",
-    "hedge_delay_ms", "hedge_quantile", "health_routing",
-)
-
-_EXECUTION_DEFAULTS = {
-    name: getattr(PlannerOptions(), name) for name in EXECUTION_ONLY_OPTIONS
-}
+from .scheduler import CircuitBreakerRegistry, Deadline
 
 
 class GlobalInformationSystem:
@@ -567,13 +552,6 @@ class GlobalInformationSystem:
         """Plan without executing (inspection, tests, benchmarks)."""
         return self.planner.plan(sql, options)
 
-    @staticmethod
-    def _plan_key_options(opts: PlannerOptions) -> PlannerOptions:
-        """Normalize options into the plan-cache key: every
-        :data:`EXECUTION_ONLY_OPTIONS` field is reset to its default, so
-        requests that differ only in runtime behavior share one plan."""
-        return opts.but(**_EXECUTION_DEFAULTS)
-
     def _plan_for_query(
         self, sql: str, options: Optional[PlannerOptions], tracer, parent
     ) -> Tuple[PlannedQuery, bool]:
@@ -592,7 +570,7 @@ class GlobalInformationSystem:
         with tracer.child(parent, "phase:parse", "phase"):
             statement = parse_select(sql)
         param = parameterize(statement)
-        key_opts = self._plan_key_options(opts)
+        key_opts = opts.plan_key()
         epoch = cache.epoch
         entry = cache.lookup(param.shape_key, key_opts)
         if entry is not None:
@@ -640,7 +618,7 @@ class GlobalInformationSystem:
         still replans after catalog invalidation)."""
         opts = options or self.planner.options
         param = parameterize(parse_select(sql))
-        key_opts = self._plan_key_options(opts)
+        key_opts = opts.plan_key()
         epoch = self.plan_cache.epoch
         # Prepared plans are pinned for repeated execution, so never bake a
         # materialized snapshot's rows into one.
@@ -655,35 +633,30 @@ class GlobalInformationSystem:
         return PreparedStatement(self, sql, opts, param, entry)
 
     def _execution_context(
-        self, options: Optional[PlannerOptions]
+        self, options: Optional[PlannerOptions], deadline: Optional[Deadline] = None
     ) -> ExecutionContext:
-        """Build the runtime context for one query: its fragment
-        scheduler, circuit breakers, deadline and fault injector."""
+        """Build the runtime context for one query: the mediator's retry
+        budget, circuit breakers, health and caches around its options."""
         opts = options or self.planner.options
-        config = SchedulerConfig.from_options(opts, self.fragment_retries)
         # Per-query fault plans get a fresh injector (deterministic
         # replays); otherwise the mediator's persistent injector applies.
         if opts.faults is not None:
             injector = FaultInjector(opts.faults)
         else:
             injector = self.fault_injector
-        context = ExecutionContext(
+        return ExecutionContext(
             self.catalog,
             self.network,
-            scheduler_config=config,
+            opts,
+            retries=self.fragment_retries,
             breakers=self.breakers,
-            batch_size=opts.batch_size,
-            deadline=(
-                Deadline(opts.deadline_ms) if opts.deadline_ms > 0 else None
-            ),
+            deadline=deadline,
             fault_injector=injector,
-            on_source_failure=opts.on_source_failure,
             fragment_cache=(
                 self.fragment_cache if self.fragment_cache.enabled else None
             ),
             health=self.health,
         )
-        return context
 
     def _execute(self, planned: PlannedQuery, context: ExecutionContext) -> List[Tuple[Any, ...]]:
         """Drain the physical plan batch-at-a-time, offering the scheduler
@@ -786,13 +759,15 @@ class GlobalInformationSystem:
         obs = self.obs
         tracer = obs.tracer
         opts = options or self.planner.options
+        # The deadline budgets the whole query, so it starts before planning.
+        deadline = Deadline(opts.deadline_ms) if opts.deadline_ms > 0 else None
         root = tracer.root_span("query", force=opts.trace, sql=sql)
         started = time.perf_counter()
         context = None
         planned = None
         try:
             planned, plan_hit = plan_fn(tracer, root)
-            context = self._execution_context(options)
+            context = self._execution_context(opts, deadline)
             context.metrics.plan_cache_hit = plan_hit
             context.metrics.materialized_view_hits = self._materialized_hits(
                 planned

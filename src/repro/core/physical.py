@@ -84,7 +84,7 @@ from .logical import (
     ValuesOp,
     WindowOp,
 )
-from .scheduler import FragmentScheduler, SchedulerConfig
+from .scheduler import FragmentScheduler
 
 if TYPE_CHECKING:
     from .planner import PlannerOptions
@@ -93,9 +93,6 @@ Row = Tuple[Any, ...]
 
 #: The unit of dataflow between operators: a columnar page.
 Batch = Page
-
-#: Default rows per dataflow batch (mirrors sources.base.DEFAULT_PAGE_ROWS).
-DEFAULT_BATCH_ROWS = 1024
 
 
 @dataclass
@@ -142,53 +139,55 @@ class ExecutionMetrics:
 class ExecutionContext:
     """Runtime services shared by all operators of one query.
 
-    ``scheduler_config`` (default ``SchedulerConfig()``: sequential, no
-    retries) is what every fetch envelope reads — the retry policy, breaker
-    threshold and health routing — and ``breakers`` holds the per-source
-    circuit breakers (see :mod:`repro.core.scheduler`). ``scheduler`` is
-    this query's :class:`~repro.core.scheduler.FragmentScheduler`, the one
-    executor of fragment fetches whatever the degree. Metrics
+    ``options`` is the query's :class:`~repro.core.planner.PlannerOptions`,
+    the one runtime policy: this query's
+    :class:`~repro.core.scheduler.FragmentScheduler` (``scheduler``, the
+    one executor of fragment fetches whatever the degree), every fetch
+    envelope (backoff, breaker threshold and reset, health routing) and
+    the operators read their knobs from it. ``retries`` is the mediator's
+    per-fragment retry budget and ``breakers`` holds the per-source
+    circuit breakers (see :mod:`repro.core.scheduler`). Metrics
     accumulation is lock-protected because scheduler worker threads charge
     transfers concurrently.
 
-    ``batch_size`` is the dataflow granularity: how many rows operators
-    hand each other per ``iterate_batches`` step. It never affects network
-    accounting (exchanges charge per adapter page regardless).
+    ``batch_size`` (from ``options.batch_size``) is the dataflow
+    granularity: how many rows operators hand each other per
+    ``iterate_batches`` step. It never affects network accounting
+    (exchanges charge per adapter page regardless).
 
-    Resilience knobs (all default-off, keeping the fault-free engine
-    byte-identical): ``deadline`` is the query's wall-clock budget
-    (:class:`~repro.core.scheduler.Deadline`), checked cooperatively via
-    :meth:`check_deadline`; ``fault_injector`` scripts per-source failures
-    into every adapter page fetch (:meth:`execute_pages`);
-    ``on_source_failure`` selects whether a source that fails past its
-    retry/breaker/replica envelope aborts the query (``"fail"``) or is
-    excluded with the query continuing (``"partial"`` — recorded in
-    ``excluded_sources``).
+    ``deadline`` is the query's wall-clock budget
+    (:class:`~repro.core.scheduler.Deadline`, started by the mediator
+    before planning), checked cooperatively via :meth:`check_deadline`;
+    ``fault_injector`` scripts per-source failures into every adapter page
+    fetch (:meth:`execute_pages`). ``options.on_source_failure`` selects
+    whether a source that fails past its retry/breaker/replica envelope
+    aborts the query (``"fail"``) or is excluded with the query continuing
+    (``"partial"`` — recorded in ``excluded_sources``).
     """
 
     def __init__(
         self,
         catalog: Catalog,
         network: SimulatedNetwork,
-        scheduler_config: Optional[SchedulerConfig] = None,
+        options: "PlannerOptions",
+        retries: int = 0,
         breakers=None,
-        batch_size: int = DEFAULT_BATCH_ROWS,
         deadline=None,
         fault_injector=None,
-        on_source_failure: str = "fail",
         fragment_cache=None,
         health=None,
     ) -> None:
         self.catalog = catalog
         self.network = network
-        self.scheduler_config = scheduler_config or SchedulerConfig()
+        self.options = options
+        self.retries = max(retries, 0)
         self.breakers = breakers
         #: The mediator's SourceHealthRegistry (repro.core.health), or
         #: None. Producers feed it page-fetch latencies and outcomes;
         #: adaptive timeouts, hedge delays, and health routing read it.
         self.health = health
-        self.scheduler: FragmentScheduler = FragmentScheduler(self.scheduler_config)
-        self.batch_size = max(batch_size, 1)
+        self.scheduler = FragmentScheduler(options)
+        self.batch_size = options.batch_size
         #: The mediator's semantic fragment cache (repro.cache), or None.
         #: Exchanges probe it before fetching and fill it on miss.
         self.fragment_cache = fragment_cache
@@ -202,7 +201,6 @@ class ExecutionContext:
         )
         self.deadline = deadline
         self.fault_injector = fault_injector
-        self.on_source_failure = on_source_failure
         #: ``source -> reason`` for sources excluded under "partial".
         self.excluded_sources: Dict[str, str] = {}
         self.metrics = ExecutionMetrics(scheduler_mode=self.scheduler.mode)
@@ -221,11 +219,11 @@ class ExecutionContext:
         """This source's circuit breaker, or None when breakers are off."""
         if self.breakers is None:
             return None
-        threshold = self.scheduler_config.breaker_threshold
+        threshold = self.options.breaker_failure_threshold
         if threshold <= 0:
             return None
         return self.breakers.breaker_for(
-            source_name, threshold, self.scheduler_config.breaker_reset_ms
+            source_name, threshold, self.options.breaker_reset_ms
         )
 
     def execute_pages(self, adapter, fragment, page_rows: int):
@@ -618,7 +616,7 @@ class ExchangeExec(PhysicalOperator):
             # carries on — flagged, never silent (the mediator stamps
             # complete=False from ctx.excluded_sources). Deadline expiry
             # (QueryTimeoutError) is never downgraded to a partial result.
-            if ctx.on_source_failure != "partial":
+            if ctx.options.on_source_failure != "partial":
                 raise
             ctx.record_exclusion(exc.source_name, exc)
 
@@ -1150,7 +1148,7 @@ class BindJoinExec(PhysicalOperator):
             # Graceful degradation mirrors ExchangeExec: the dead remote
             # side contributes no rows and the join proceeds (INNER drops
             # unmatched probe rows; LEFT pads them with NULLs).
-            if ctx.on_source_failure != "partial":
+            if ctx.options.on_source_failure != "partial":
                 raise
             ctx.record_exclusion(exc.source_name, exc)
             remote_rows = []

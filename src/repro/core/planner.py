@@ -35,10 +35,25 @@ from .semijoin import SEMIJOIN_MODES, SemijoinDecision, SemijoinPlanner
 #: Accepted query behaviors when a source fails past its whole envelope.
 ON_SOURCE_FAILURE_MODES = ("fail", "partial")
 
+#: PlannerOptions fields that steer only execution, never the plan: the
+#: fragment scheduler, fetch envelope and operators read them at run time,
+#: and :meth:`PlannerOptions.plan_key` resets them for the plan cache.
+EXECUTION_ONLY_OPTIONS = (
+    "max_parallel_fragments", "max_parallel_per_source",
+    "fragment_timeout_ms", "retry_backoff_ms", "retry_backoff_multiplier",
+    "retry_backoff_max_ms", "retry_jitter", "breaker_failure_threshold",
+    "breaker_reset_ms", "batch_size", "trace", "deadline_ms",
+    "on_source_failure", "faults", "adaptive_timeout", "timeout_multiplier",
+    "timeout_floor_ms", "timeout_ceiling_ms", "hedge_fragments",
+    "hedge_delay_ms", "hedge_quantile", "health_routing",
+)
+
 
 @dataclass(frozen=True)
 class PlannerOptions:
-    """Optimizer configuration; every field is an experiment knob.
+    """Optimizer and runtime configuration; every field is an experiment
+    knob. The fields named in :data:`EXECUTION_ONLY_OPTIONS` never shape
+    the plan; they are the query's runtime policy.
 
     Attributes:
         rewrites: run the rule-based rewriter (constant folding, predicate
@@ -73,9 +88,10 @@ class PlannerOptions:
         trace: force tracing for queries planned with these options even
             when the mediator's tracer is globally disabled (per-query
             tracing). Purely observational — never changes the plan.
-        deadline_ms: wall-clock budget for the whole query; past it the
-            engine cancels cooperatively (page boundaries, retry gates)
-            with an attributed QueryTimeoutError. 0 disables deadlines.
+        deadline_ms: wall-clock budget for the whole query, planning
+            included; past it the engine cancels cooperatively (page
+            boundaries, retry gates) with an attributed
+            QueryTimeoutError. 0 disables deadlines.
         on_source_failure: ``fail`` (a source failing past its
             retry/breaker/replica envelope aborts the query — classic
             behavior) or ``partial`` (the dead source's scans degrade to
@@ -241,6 +257,15 @@ class PlannerOptions:
     def but(self, **changes) -> "PlannerOptions":
         """A copy with some options changed (bench/baseline convenience)."""
         return replace(self, **changes)
+
+    def plan_key(self) -> "PlannerOptions":
+        """These options as a plan-cache key: every
+        :data:`EXECUTION_ONLY_OPTIONS` field reset to its default, so
+        requests that differ only in runtime behavior share one plan."""
+        return replace(
+            self,
+            **{name: getattr(PlannerOptions, name) for name in EXECUTION_ONLY_OPTIONS},
+        )
 
 
 #: The ship-everything, no-optimizer configuration used as the baseline

@@ -18,7 +18,7 @@ the :func:`fetch_pages` generator:
   a per-source breaker; further calls fail fast (or reroute to a registered
   replica via :func:`replica_fallback`) until a reset period elapses, after
   which a single half-open probe decides whether to close it again;
-* **retry with exponential backoff + jitter** (:class:`RetryPolicy`) — a
+* **retry with exponential backoff + jitter** (:func:`retry_delay_ms`) — a
   fragment is re-issued only while no page has reached the consumer, so a
   retry can never duplicate rows;
 * **health accounting** — page latencies and outcomes feed the source's
@@ -39,7 +39,6 @@ import queue
 import random
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, Iterator, List, Optional, Set, Tuple
 
 from ..errors import SourceError
@@ -72,12 +71,13 @@ def sleep_ms(ms: float) -> None:
 class Deadline:
     """A per-query wall-clock budget for cooperative cancellation.
 
-    Created by the mediator when ``PlannerOptions.deadline_ms > 0`` and
-    carried on the execution context into both of the scheduler's
-    executors. Nothing preempts: operators *check* the
-    deadline at page boundaries, retry decisions refuse delays that cannot
-    finish in budget, and queue waits are sliced so a consumer blocked on
-    a slow producer still notices expiry promptly.
+    Started by the mediator before planning when
+    ``PlannerOptions.deadline_ms > 0`` and carried on the execution
+    context into both of the scheduler's executors. Nothing preempts:
+    operators *check* the deadline at page boundaries, retry decisions
+    refuse delays that cannot finish in budget, and queue waits are sliced
+    so a consumer blocked on a slow producer still notices expiry
+    promptly.
 
     The clock is injectable for tests; the budget is real milliseconds
     (the simulated network's virtual clock measures *cost*, not elapsed
@@ -102,40 +102,31 @@ class Deadline:
 
 
 # ---------------------------------------------------------------------------
-# retry policy
+# retry backoff
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with jitter for fragment re-issues.
+def retry_delay_ms(options, attempt: int, rng: Optional[random.Random] = None) -> float:
+    """The delay slept before the ``attempt``-th fragment retry (1-based).
 
-    ``retries`` is the attempt budget; the delay before the *n*-th retry is
-    ``backoff_ms * multiplier**(n-1)`` capped at ``max_ms``, then spread
-    uniformly over ``[base*(1-jitter), base*(1+jitter)]`` so simultaneous
-    retries against a struggling source de-synchronize. ``backoff_ms=0``
-    (the default) retries immediately — the pre-scheduler behavior.
+    ``retry_backoff_ms * retry_backoff_multiplier**(attempt-1)`` capped at
+    ``retry_backoff_max_ms``, then spread uniformly over
+    ``±retry_jitter`` of itself so simultaneous retries against a
+    struggling source de-synchronize. ``retry_backoff_ms=0`` (the default)
+    retries immediately. How many retries a fragment gets is the
+    mediator's budget (``ExecutionContext.retries``), not an option.
     """
-
-    retries: int = 0
-    backoff_ms: float = 0.0
-    multiplier: float = 2.0
-    max_ms: float = 5000.0
-    jitter: float = 0.0
-
-    def base_delay_ms(self, attempt: int) -> float:
-        """Deterministic delay before the ``attempt``-th retry (1-based)."""
-        if self.backoff_ms <= 0:
-            return 0.0
-        return min(self.backoff_ms * self.multiplier ** (attempt - 1), self.max_ms)
-
-    def delay_ms(self, attempt: int, rng: Optional[random.Random] = None) -> float:
-        """The jittered delay actually slept before the ``attempt``-th retry."""
-        base = self.base_delay_ms(attempt)
-        if base <= 0 or self.jitter <= 0:
-            return base
-        u = (rng or random).random()
-        return base * (1.0 - self.jitter + 2.0 * self.jitter * u)
+    if options.retry_backoff_ms <= 0:
+        return 0.0
+    base = min(
+        options.retry_backoff_ms * options.retry_backoff_multiplier ** (attempt - 1),
+        options.retry_backoff_max_ms,
+    )
+    jitter = options.retry_jitter
+    if base <= 0 or jitter <= 0:
+        return base
+    u = (rng or random).random()
+    return base * (1.0 - jitter + 2.0 * jitter * u)
 
 
 # ---------------------------------------------------------------------------
@@ -280,75 +271,6 @@ class CircuitBreakerRegistry:
         """Forget all breaker state (e.g. after repairing a federation)."""
         with self._lock:
             self._breakers.clear()
-
-
-# ---------------------------------------------------------------------------
-# scheduler configuration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Runtime knobs for one query's fragment execution."""
-
-    max_parallel_fragments: int = 1
-    max_parallel_per_source: int = 2
-    fragment_timeout_ms: float = 0.0
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    breaker_threshold: int = 0
-    breaker_reset_ms: float = 30000.0
-    # -- tail tolerance (see repro.core.health) --
-    adaptive_timeout: bool = False
-    timeout_multiplier: float = 3.0
-    timeout_floor_ms: float = 50.0
-    timeout_ceiling_ms: float = 30000.0
-    hedge: bool = False
-    hedge_delay_ms: float = 50.0
-    hedge_quantile: float = 0.95
-    health_routing: bool = False
-
-    @property
-    def parallel(self) -> bool:
-        return self.max_parallel_fragments > 1
-
-    @property
-    def scheduled(self) -> bool:
-        """Does this configuration need worker threads at all? Timeouts
-        require a producer thread even at concurrency 1, and hedging
-        races two producer streams against each other."""
-        return (
-            self.parallel
-            or self.fragment_timeout_ms > 0
-            or self.adaptive_timeout
-            or self.hedge
-        )
-
-    @staticmethod
-    def from_options(options, fragment_retries: int) -> "SchedulerConfig":
-        """Derive the runtime config from PlannerOptions + the mediator's
-        retry budget."""
-        return SchedulerConfig(
-            max_parallel_fragments=options.max_parallel_fragments,
-            max_parallel_per_source=options.max_parallel_per_source,
-            fragment_timeout_ms=options.fragment_timeout_ms,
-            retry=RetryPolicy(
-                retries=max(fragment_retries, 0),
-                backoff_ms=options.retry_backoff_ms,
-                multiplier=options.retry_backoff_multiplier,
-                max_ms=options.retry_backoff_max_ms,
-                jitter=options.retry_jitter,
-            ),
-            breaker_threshold=options.breaker_failure_threshold,
-            breaker_reset_ms=options.breaker_reset_ms,
-            adaptive_timeout=options.adaptive_timeout,
-            timeout_multiplier=options.timeout_multiplier,
-            timeout_floor_ms=options.timeout_floor_ms,
-            timeout_ceiling_ms=options.timeout_ceiling_ms,
-            hedge=options.hedge_fragments,
-            hedge_delay_ms=options.hedge_delay_ms,
-            hedge_quantile=options.hedge_quantile,
-            health_routing=options.health_routing,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +448,8 @@ def fetch_pages(
     query-deadline gate, the breaker gate with :func:`replica_fallback`,
     the page loop (health latency per page, one network charge per page
     including the final empty one), and on a :class:`SourceError` before
-    the first yielded page a :class:`RetryPolicy` backoff and re-issue.
+    the first yielded page a :func:`retry_delay_ms` backoff and re-issue
+    (at most ``ctx.retries`` times).
     The last attempt's outcome feeds the breaker and health tracker.
     Errors propagate to the consumer.
 
@@ -543,11 +466,11 @@ def fetch_pages(
     ``on_charge(page, elapsed_ms)`` sees each charged page with its
     simulated transfer time.
     """
-    config = ctx.scheduler_config
+    options = ctx.options
     health = ctx.health
     deadline = ctx.deadline
     source = fragment.source_name
-    if route and config.health_routing:
+    if route and options.health_routing:
         routed = health_route(ctx.catalog, fragment, ctx.breakers, health)
         if routed is not None:
             ctx.trace_span.event(
@@ -617,13 +540,13 @@ def fetch_pages(
             # for transient failures, and only when the backoff delay
             # still fits inside the query's deadline budget.
             retryable = getattr(exc, "retryable", True)
-            if produced or not retryable or attempt >= config.retry.retries:
+            if produced or not retryable or attempt >= ctx.retries:
                 span.set_attribute("error", repr(exc))
                 if not retryable:
                     span.set_attribute("permanent", True)
                 raise
             attempt += 1
-            delay = config.retry.delay_ms(attempt, rng)
+            delay = retry_delay_ms(options, attempt, rng)
             if deadline is not None and deadline.remaining_ms() <= delay:
                 span.event(
                     "retry-abandoned", attempt=attempt,
@@ -713,11 +636,14 @@ class _WorkerTask(_FragmentTask):
 class FragmentScheduler:
     """Runs one query's fragment fetches, inline or on worker threads.
 
-    ``SchedulerConfig.scheduled`` picks the executor at construction;
-    callers see one interface either way. At degree > 1 ``prestart``
-    launches every independent exchange before iteration begins, so all
-    sources transfer concurrently. Consumers drain each task's pages in
-    order, which preserves the exact row order whatever the degree.
+    The query's options pick the executor at construction: worker
+    threads when the degree is above 1, or when a fragment timeout,
+    adaptive timeout or hedging needs a producer thread to wait on;
+    otherwise inline tasks. Callers see one interface either way. At
+    degree > 1 ``prestart`` launches every independent exchange before
+    iteration begins, so all sources transfer concurrently. Consumers
+    drain each task's pages in order, which preserves the exact row order
+    whatever the degree.
 
     Workers are capped twice: ``max_parallel_fragments`` globally and
     ``max_parallel_per_source`` per component system (autonomous sources
@@ -726,18 +652,27 @@ class FragmentScheduler:
     the only safe option against a hung source.
     """
 
-    def __init__(self, config: SchedulerConfig, clock=time.monotonic) -> None:
-        self._config = config
+    def __init__(self, options, clock=time.monotonic) -> None:
+        self._options = options
         self._clock = clock
-        self._threaded = config.scheduled
+        degree = options.max_parallel_fragments
+        self._parallel = degree > 1
+        # Timeouts need a producer thread to wait on even at degree 1, and
+        # hedging races two producer streams against each other.
+        self._threaded = (
+            self._parallel
+            or options.fragment_timeout_ms > 0
+            or options.adaptive_timeout
+            or options.hedge_fragments
+        )
         #: How fragments run, as metrics and fragment spans report it.
         self.mode = (
-            f"parallel({config.max_parallel_fragments})" if config.parallel
+            f"parallel({degree})" if self._parallel
             else "sequential+timeout" if self._threaded else "sequential"
         )
         self._lock = threading.Lock()
         self._stop = threading.Event()
-        self._global_slots = threading.Semaphore(max(config.max_parallel_fragments, 1))
+        self._global_slots = threading.Semaphore(degree)
         self._source_slots: Dict[str, threading.Semaphore] = {}
         self._by_exchange: Dict[int, _FragmentTask] = {}
         self._tasks: List[_FragmentTask] = []
@@ -749,7 +684,7 @@ class FragmentScheduler:
     def prestart(self, exchanges, ctx) -> None:
         """Launch every independent exchange's fetch before iteration
         (degree > 1 only; otherwise each starts when first pulled)."""
-        if not self._config.parallel:
+        if not self._parallel:
             return
         for exchange in exchanges:
             if id(exchange) not in self._by_exchange:
@@ -835,7 +770,7 @@ class FragmentScheduler:
         on a replica against a straggling primary."""
         timeout_ms = self._timeout_ms_for(task.fragment.source_name, ctx)
         deadline: Optional[Deadline] = getattr(ctx, "deadline", None)
-        if self._config.hedge and not task.hedge:
+        if self._options.hedge_fragments and not task.hedge:
             yield from self._stream_hedged(task, ctx, timeout_ms, deadline)
         else:
             yield from self._stream_plain(task, ctx, timeout_ms, deadline)
@@ -844,18 +779,18 @@ class FragmentScheduler:
         """The no-progress budget for one source: the adaptive
         quantile-derived value when armed and warm, else the static
         ``fragment_timeout_ms`` (the cold-start fallback)."""
-        config = self._config
-        static = config.fragment_timeout_ms
-        if not config.adaptive_timeout:
+        options = self._options
+        static = options.fragment_timeout_ms
+        if not options.adaptive_timeout:
             return static
         health = getattr(ctx, "health", None)
         if health is None:
             return static
         adaptive = health.adaptive_timeout_ms(
             source,
-            config.timeout_multiplier,
-            config.timeout_floor_ms,
-            config.timeout_ceiling_ms,
+            options.timeout_multiplier,
+            options.timeout_floor_ms,
+            options.timeout_ceiling_ms,
         )
         return static if adaptive is None else adaptive
 
@@ -914,12 +849,12 @@ class FragmentScheduler:
     # -- hedged consumption -------------------------------------------------
 
     def _hedge_delay_ms(self, source: str, ctx) -> float:
-        config = self._config
+        options = self._options
         health = getattr(ctx, "health", None)
         if health is None:
-            return config.hedge_delay_ms
+            return options.hedge_delay_ms
         return health.hedge_delay_ms(
-            source, config.hedge_quantile, config.hedge_delay_ms
+            source, options.hedge_quantile, options.hedge_delay_ms
         )
 
     def _launch_hedge(
@@ -1102,7 +1037,7 @@ class FragmentScheduler:
         # the fragments (in submission order) over the configured number of
         # lanes — the simulated elapsed time of the schedule actually taken,
         # as opposed to the per-source max, which assumes unbounded fan-out.
-        lanes = [0.0] * max(self._config.max_parallel_fragments, 1)
+        lanes = [0.0] * self._options.max_parallel_fragments
         for task in self._tasks:
             slot = lanes.index(min(lanes))
             lanes[slot] += task.virtual_ms
@@ -1116,7 +1051,7 @@ class FragmentScheduler:
         with self._lock:
             slot = self._source_slots.get(key)
             if slot is None:
-                slot = threading.Semaphore(max(self._config.max_parallel_per_source, 1))
+                slot = threading.Semaphore(self._options.max_parallel_per_source)
                 self._source_slots[key] = slot
             return slot
 

@@ -48,12 +48,20 @@ The class is I/O-stream parameterized so tests can drive it directly.
 from __future__ import annotations
 
 import sys
+from dataclasses import fields
 from typing import IO, Iterable, List, Optional
 
 from .core.mediator import GlobalInformationSystem
 from .core.planner import NAIVE_OPTIONS, PlannerOptions
 from .core.result import QueryResult
 from .errors import GISError
+
+#: What ``\naive`` changes: the naive baseline's departures from defaults.
+_NAIVE_CHANGES = {
+    f.name: getattr(NAIVE_OPTIONS, f.name)
+    for f in fields(PlannerOptions)
+    if getattr(NAIVE_OPTIONS, f.name) != f.default
+}
 
 
 class Repl:
@@ -69,11 +77,13 @@ class Repl:
     ) -> None:
         self.gis = gis
         self.out = out or sys.stdout
+        # Session knobs, layered on the mediator's configured options by
+        # _options(); None leaves the configured value in force.
         self.naive = False
-        self.parallel = 1
+        self.parallel: Optional[int] = None
         self.batch: Optional[int] = None
-        self.deadline_ms = 0.0
-        self.partial = False
+        self.deadline_ms: Optional[float] = None
+        self.partial: Optional[bool] = None
         self.last_result: Optional[QueryResult] = None
         self._buffer: List[str] = []
         self._done = False
@@ -183,7 +193,7 @@ class Repl:
             if argument.lower() in ("on", "off"):
                 self.partial = argument.lower() == "on"
             else:
-                self.partial = not self.partial
+                self.partial = self._options().on_source_failure != "partial"
             mode = "partial" if self.partial else "fail"
             self._write(f"on-source-failure mode: {mode}")
         elif name == "\\analyze":
@@ -455,19 +465,20 @@ class Repl:
 
     # -- execution ---------------------------------------------------------------
 
-    def _options(self) -> Optional[PlannerOptions]:
-        base = NAIVE_OPTIONS if self.naive else None
-        if self.parallel > 1:
-            base = (base or PlannerOptions()).but(
-                max_parallel_fragments=self.parallel
-            )
+    def _options(self) -> PlannerOptions:
+        """The session's knobs layered on the mediator's configured
+        options, so a config file's settings survive ``\\batch`` & co."""
+        changes = dict(_NAIVE_CHANGES) if self.naive else {}
+        if self.parallel is not None:
+            changes["max_parallel_fragments"] = self.parallel
         if self.batch is not None:
-            base = (base or PlannerOptions()).but(batch_size=self.batch)
-        if self.deadline_ms > 0:
-            base = (base or PlannerOptions()).but(deadline_ms=self.deadline_ms)
-        if self.partial:
-            base = (base or PlannerOptions()).but(on_source_failure="partial")
-        return base
+            changes["batch_size"] = self.batch
+        if self.deadline_ms is not None:
+            changes["deadline_ms"] = self.deadline_ms
+        if self.partial is not None:
+            changes["on_source_failure"] = "partial" if self.partial else "fail"
+        options = self.gis.planner.options
+        return options.but(**changes) if changes else options
 
     def _execute(self, sql: str) -> None:
         def run_query() -> None:

@@ -44,7 +44,7 @@ TEXT = DataType.TEXT
 
 def ctx(batch_size=1024):
     return ExecutionContext(Catalog(), SimulatedNetwork(),
-                            batch_size=batch_size)
+                            PlannerOptions(batch_size=batch_size))
 
 
 def columns(*specs):

@@ -16,7 +16,7 @@ from .conftest import assert_same_rows, drain, make_small_gis
 
 
 def ctx():
-    return ExecutionContext(Catalog(), SimulatedNetwork())
+    return ExecutionContext(Catalog(), SimulatedNetwork(), PlannerOptions())
 
 
 def columns(*specs):

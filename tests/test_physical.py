@@ -1,6 +1,6 @@
 """Physical operators: join kinds, NULL-aware anti joins, exchanges, metrics."""
 
-from repro import Catalog, SimulatedNetwork
+from repro import Catalog, PlannerOptions, SimulatedNetwork
 from repro.core.logical import RelColumn
 from repro.core.physical import (
     DistinctExec,
@@ -23,7 +23,7 @@ from .conftest import drain
 
 
 def ctx():
-    return ExecutionContext(Catalog(), SimulatedNetwork())
+    return ExecutionContext(Catalog(), SimulatedNetwork(), PlannerOptions())
 
 
 def columns(*specs):

@@ -2,6 +2,7 @@
 
 import io
 
+from repro.config import build_from_config
 from repro.repl import Repl
 
 from .conftest import make_small_gis
@@ -246,3 +247,73 @@ class TestResilienceCommands:
         assert "PARTIAL RESULT" in output
         assert "erp" in output and "injected fault" in output
         assert "PARTIAL)" in output  # row-count footer carries the flag
+
+
+def configured(*lines, **sections):
+    """A REPL over a config-built federation whose sections set options."""
+    gis = build_from_config({
+        "sources": {
+            "crm": {
+                "type": "memory",
+                "tables": {
+                    "customers": {
+                        "columns": [["id", "INT"], ["name", "TEXT"]],
+                        "rows": [[1, "Ada"], [2, "Grace"]],
+                    }
+                },
+            }
+        },
+        "tables": [{"name": "customers", "source": "crm"}],
+        **sections,
+    })
+    out = io.StringIO()
+    repl = Repl(gis, out=out)
+    repl.run(list(lines))
+    return out.getvalue(), repl
+
+
+class TestConfiguredOptions:
+    """Session knobs layer on the configured options; they never reset
+    the options the config file set."""
+
+    def test_session_knobs_keep_configured_options(self):
+        _, repl = configured(
+            "\\batch 1",
+            "\\deadline 60000",
+            "SELECT COUNT(*) FROM customers;",
+            options={"semijoin": "off"},
+            scheduler={"circuit_breaker": {"failure_threshold": 3}},
+            tail={"hedge": True},
+        )
+        options = repl._options()
+        assert options.batch_size == 1 and options.deadline_ms == 60000.0
+        assert options.semijoin == "off"
+        assert options.breaker_failure_threshold == 3
+        assert options.hedge_fragments
+        # Hedging runs fetches on worker threads: the configured policy ran.
+        network = repl.last_result.metrics.network
+        assert network.scheduler_mode == "sequential+timeout"
+
+    def test_parallel_off_overrides_configured_degree(self):
+        sql = "SELECT COUNT(*) FROM customers;"
+        _, repl = configured(sql, scheduler={"max_parallel_fragments": 8})
+        assert repl.last_result.metrics.network.scheduler_mode == "parallel(8)"
+        _, repl = configured(
+            "\\parallel off", sql, scheduler={"max_parallel_fragments": 8}
+        )
+        assert repl.last_result.metrics.network.scheduler_mode == "sequential"
+
+    def test_partial_toggles_from_the_configured_mode(self):
+        output, repl = configured(
+            "\\partial", resilience={"on_source_failure": "partial"}
+        )
+        assert "mode: fail" in output
+        assert repl._options().on_source_failure == "fail"
+
+    def test_naive_layers_on_configured_options(self):
+        _, repl = configured(
+            "\\naive on", scheduler={"max_parallel_fragments": 8}
+        )
+        options = repl._options()
+        assert options.pushdown == "scans-only"
+        assert options.max_parallel_fragments == 8

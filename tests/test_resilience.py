@@ -342,6 +342,23 @@ class TestDeadlines:
         assert info.value.source_name == "flaky"
         assert "while waiting on source 'flaky'" in str(info.value)
 
+    def test_deadline_counts_planning_time(self, monkeypatch):
+        from repro.core.planner import Planner
+
+        plan_statement = Planner.plan_statement
+
+        def slow_plan(self, *args, **kwargs):
+            time.sleep(0.05)
+            return plan_statement(self, *args, **kwargs)
+
+        monkeypatch.setattr(Planner, "plan_statement", slow_plan)
+        gis = build(MemorySource("flaky"))
+        # The 20 ms budget covers the whole query, so 50 ms of planning
+        # alone exhausts it before the first fetch.
+        with pytest.raises(QueryTimeoutError) as info:
+            gis.query("SELECT a FROM t", PlannerOptions(deadline_ms=20.0))
+        assert info.value.elapsed_ms >= 50.0
+
     def test_timeout_never_downgraded_to_partial(self):
         gis = build(MemorySource("flaky"))
         options = PlannerOptions(deadline_ms=1e-6, on_source_failure="partial")

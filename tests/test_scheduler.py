@@ -24,8 +24,8 @@ from repro.core import scheduler as scheduler_module
 from repro.core.scheduler import (
     CircuitBreaker,
     CircuitBreakerRegistry,
-    RetryPolicy,
-    SchedulerConfig,
+    FragmentScheduler,
+    retry_delay_ms,
 )
 from repro.workloads.tpch_lite import build_partitioned_orders
 
@@ -215,23 +215,26 @@ class TestParallelEquivalence:
 
 class TestRetryPolicy:
     def test_exponential_schedule_with_cap(self):
-        policy = RetryPolicy(retries=3, backoff_ms=50, multiplier=2.0,
-                             max_ms=120.0)
-        assert [policy.base_delay_ms(n) for n in (1, 2, 3)] == [50, 100, 120]
+        options = PlannerOptions(
+            retry_backoff_ms=50, retry_backoff_multiplier=2.0,
+            retry_backoff_max_ms=120.0,
+        )
+        assert [retry_delay_ms(options, n) for n in (1, 2, 3)] == [50, 100, 120]
 
     def test_zero_backoff_retries_immediately(self):
-        policy = RetryPolicy(retries=2)
-        assert policy.delay_ms(1) == 0.0
-        assert policy.delay_ms(2) == 0.0
+        options = PlannerOptions()
+        assert retry_delay_ms(options, 1) == 0.0
+        assert retry_delay_ms(options, 2) == 0.0
 
     def test_jitter_bounds(self):
         import random
 
-        policy = RetryPolicy(retries=1, backoff_ms=100, jitter=0.25)
+        plain = PlannerOptions(retry_backoff_ms=100)
+        jittered = plain.but(retry_jitter=0.25)
         rng = random.Random(123)
         for attempt in (1, 2, 3):
-            delay = policy.delay_ms(attempt, rng)
-            base = policy.base_delay_ms(attempt)
+            delay = retry_delay_ms(jittered, attempt, rng)
+            base = retry_delay_ms(plain, attempt)
             assert base * 0.75 <= delay <= base * 1.25
 
 
@@ -504,31 +507,19 @@ class TestBreakerIntegration:
 
 
 # ---------------------------------------------------------------------------
-# scheduler config derivation
+# executor choice (from the query's options)
 # ---------------------------------------------------------------------------
 
 
 class TestSchedulerConfig:
     def test_sequential_default_is_unscheduled(self):
-        config = SchedulerConfig.from_options(PlannerOptions(), 0)
-        assert not config.parallel
-        assert not config.scheduled
+        assert FragmentScheduler(PlannerOptions()).mode == "sequential"
 
     def test_parallel_and_timeout_schedule(self):
-        assert SchedulerConfig.from_options(PARALLEL, 0).scheduled
-        assert SchedulerConfig.from_options(
-            PlannerOptions(fragment_timeout_ms=100), 0
-        ).scheduled
-
-    def test_retry_policy_derived(self):
-        options = PlannerOptions(
-            retry_backoff_ms=25, retry_backoff_multiplier=3.0,
-            retry_backoff_max_ms=900, retry_jitter=0.1,
-        )
-        config = SchedulerConfig.from_options(options, 4)
-        assert config.retry == RetryPolicy(
-            retries=4, backoff_ms=25, multiplier=3.0, max_ms=900, jitter=0.1
-        )
+        assert FragmentScheduler(PARALLEL).mode == "parallel(8)"
+        assert FragmentScheduler(
+            PlannerOptions(fragment_timeout_ms=100)
+        ).mode == "sequential+timeout"
 
 
 # ---------------------------------------------------------------------------

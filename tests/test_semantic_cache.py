@@ -21,6 +21,7 @@ from repro import (
     PlannerOptions,
 )
 from repro.cache import FragmentCache, SourceEpochs
+from repro.core.planner import EXECUTION_ONLY_OPTIONS
 from repro.catalog.schema import schema_from_pairs
 from repro.core.physical import ExchangeExec
 from repro.errors import CatalogError, ExecutionError, ParseError
@@ -429,6 +430,74 @@ def test_plan_cache_ignores_execution_only_knobs():
     stats = gis.plan_cache.stats()
     assert stats["hits"] == 9 and stats["misses"] == 1
     assert stats["entries"] == 1
+
+
+#: A valid non-default value for every execution-only option.
+EXECUTION_ONLY_VALUES = {
+    "max_parallel_fragments": 4,
+    "max_parallel_per_source": 1,
+    "fragment_timeout_ms": 100.0,
+    "retry_backoff_ms": 5.0,
+    "retry_backoff_multiplier": 3.0,
+    "retry_backoff_max_ms": 50.0,
+    "retry_jitter": 0.5,
+    "breaker_failure_threshold": 3,
+    "breaker_reset_ms": 10.0,
+    "batch_size": 7,
+    "trace": True,
+    "deadline_ms": 60000.0,
+    "on_source_failure": "partial",
+    "faults": FaultPlan.of(erp=FaultSpec(latency_ms=1.0)),
+    "adaptive_timeout": True,
+    "timeout_multiplier": 5.0,
+    "timeout_floor_ms": 10.0,
+    "timeout_ceiling_ms": 1000.0,
+    "hedge_fragments": True,
+    "hedge_delay_ms": 5.0,
+    "hedge_quantile": 0.5,
+    "health_routing": True,
+}
+
+MASK_QUERIES = (
+    "SELECT c.name, o.total FROM customers c JOIN orders o "
+    "ON c.id = o.cust_id WHERE o.total > 50",
+    "SELECT id FROM everyone WHERE id < 4",
+    "SELECT region, COUNT(*), SUM(balance) FROM customers GROUP BY region",
+)
+
+
+def test_execution_only_values_cover_the_mask():
+    assert set(EXECUTION_ONLY_VALUES) == set(EXECUTION_ONLY_OPTIONS)
+    for name, value in EXECUTION_ONLY_VALUES.items():
+        assert value != getattr(PlannerOptions(), name), name
+
+
+@pytest.mark.parametrize("name", EXECUTION_ONLY_OPTIONS)
+def test_execution_only_option_never_changes_the_plan(name):
+    """The plan cache serves one plan to every request with the same
+    ``plan_key()``, so a field in the mask must not shape any plan."""
+    from .conftest import make_small_gis
+
+    gis = make_small_gis()
+    gis.create_view(
+        "everyone",
+        "SELECT id FROM customers UNION ALL SELECT cust_id FROM orders",
+    )
+    for base in (PlannerOptions(), PlannerOptions(semijoin="force")):
+        variant = base.but(**{name: EXECUTION_ONLY_VALUES[name]})
+        assert variant.plan_key() == base.plan_key()
+        for sql in MASK_QUERIES:
+            assert gis.plan(sql, variant).explain() == \
+                gis.plan(sql, base).explain(), (name, sql)
+
+
+def test_forced_semijoin_plans_a_bind_join():
+    from .conftest import make_small_gis
+
+    explain = make_small_gis().plan(
+        MASK_QUERIES[0], PlannerOptions(semijoin="force")
+    ).explain()
+    assert "BindJoin" in explain
 
 
 def test_plan_cache_still_keys_on_plan_shaping_knobs():

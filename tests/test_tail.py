@@ -36,7 +36,7 @@ from repro.core.health import (
     SourceHealth,
     SourceHealthRegistry,
 )
-from repro.core.scheduler import SchedulerConfig
+from repro.core.scheduler import FragmentScheduler
 from repro.errors import CatalogError, PlanError, QueryTimeoutError
 from repro.sources import faults as faults_module
 
@@ -214,12 +214,11 @@ class TestTailKnobs:
             PlannerOptions(hedge_quantile=1.0)
 
     def test_hedge_and_adaptive_require_worker_threads(self):
-        assert SchedulerConfig.from_options(
-            PlannerOptions(hedge_fragments=True), 0
-        ).scheduled
-        assert SchedulerConfig.from_options(
-            PlannerOptions(adaptive_timeout=True), 0
-        ).scheduled
+        for options in (
+            PlannerOptions(hedge_fragments=True),
+            PlannerOptions(adaptive_timeout=True),
+        ):
+            assert FragmentScheduler(options).mode == "sequential+timeout"
 
     def test_tail_knobs_do_not_split_plan_cache_keys(self):
         gis = replica_federation(plan_cache_size=8)
