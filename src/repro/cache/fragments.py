@@ -2,8 +2,11 @@
 
 Entries are keyed by the fragment's canonical plan text (which embeds the
 target source — see :mod:`repro.cache.keys`) and store the *complete*
-page stream a fragment produced, as plain row tuples with the original
-page boundaries preserved. A probe serves a fragment in two ways:
+page stream a fragment produced, as :class:`~repro.core.pages.Page`
+objects with the original page boundaries preserved. Each stored page
+owns copies of its column lists: the pages that went downstream may have
+their column vectors aliased by operators. A probe serves a fragment in
+two ways:
 
 * **exact hit** — the canonical key matches; the stored pages replay
   verbatim.
@@ -11,14 +14,14 @@ page boundaries preserved. A probe serves a fragment in two ways:
   over the same native table provably contains every row the new
   fragment selects (:func:`~repro.cache.keys.shape_contains`). The
   stored pages replay through a mediator-side *residual* — the new
-  fragment's full predicate recompiled against the cached page layout —
-  plus a column projection onto the new fragment's output order.
+  fragment's full predicate compiled as a vectorized page predicate
+  against the cached page layout — plus a column pick onto the new
+  fragment's output order.
 
 Replayed pages bypass the network entirely: nothing is charged, network
 counters honestly report zero shipped bytes for the fragment, and the
-pages feed the exact same normalization pipeline
-(:func:`~repro.core.pages.as_page` + ``split_batches``) a cold fetch
-would, so rows *and dtypes* are bit-identical to cold execution.
+pages feed the same ``split_batches`` step a cold fetch would, so rows
+*and dtypes* are bit-identical to cold execution.
 
 Admission is strict — the PR 5 invariant "partial results are never
 cached" is enforced structurally:
@@ -45,7 +48,8 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..core.expressions import compile_predicate
+from ..core.expressions import compile_batch_predicate
+from ..core.pages import Page
 from .keys import (
     FragmentShape,
     canonical_fragment_key,
@@ -55,8 +59,6 @@ from .keys import (
 )
 
 __all__ = ["FragmentCache", "FragmentCacheEntry"]
-
-Row = Tuple[Any, ...]
 
 
 class FragmentCacheEntry:
@@ -69,7 +71,7 @@ class FragmentCacheEntry:
         key: str,
         source: str,
         shape: Optional[FragmentShape],
-        pages: List[List[Row]],
+        pages: List[Page],
         nbytes: int,
         epoch: int,
     ) -> None:
@@ -207,56 +209,57 @@ class FragmentCache:
 
     def _replay(
         self, entry: FragmentCacheEntry, residual, exchange, ctx
-    ) -> Iterator[List[Row]]:
+    ) -> Iterator[Page]:
         """Yield the entry's pages (through the residual when subsumed),
         crediting ``fragment_cache_bytes_saved`` with the wire bytes a
         cold execution of the probing fragment would have shipped."""
         sizer = getattr(exchange, "_sizer", None)
         if residual is None:
-            for rows in entry.pages:
+            for page in entry.pages:
                 if sizer is not None:
-                    ctx.add_metric("fragment_cache_bytes_saved", sizer(rows))
-                yield rows
+                    ctx.add_metric("fragment_cache_bytes_saved", sizer(page))
+                yield page
             return
         predicate, layout, projection = residual
         keep = (
-            compile_predicate(predicate, layout)
+            compile_batch_predicate(predicate, layout)
             if predicate is not None
             else None
         )
         identity = projection == list(range(len(entry.shape.columns)))
-        for rows in entry.pages:
+        for page in entry.pages:
             if keep is not None:
-                rows = [row for row in rows if keep(row)]
+                page = keep(page)
             if not identity:
-                rows = [tuple(row[i] for i in projection) for row in rows]
-            if rows:
+                page = Page([page.columns[i] for i in projection], page.num_rows)
+            if page:
                 if sizer is not None:
-                    ctx.add_metric("fragment_cache_bytes_saved", sizer(rows))
-                yield rows
+                    ctx.add_metric("fragment_cache_bytes_saved", sizer(page))
+                yield page
 
     def _fill(
         self,
-        pages: Iterable[Any],
+        pages: Iterable[Page],
         key: str,
         source: str,
         shape: Optional[FragmentShape],
         admit_epoch: int,
         sizer,
-    ) -> Iterator[Any]:
+    ) -> Iterator[Page]:
         """Pass pages through, collecting a candidate entry; admit only on
         clean exhaustion of the underlying stream."""
-        collected: Optional[List[List[Row]]] = []
+        collected: Optional[List[Page]] = []
         nbytes = 0
         for page in pages:
             if collected is not None:
-                rows = [tuple(row) for row in page]
                 if sizer is not None:
-                    nbytes += sizer(rows)
+                    nbytes += sizer(page)
                 if nbytes > self.budget_bytes:
                     collected = None  # larger than the whole budget
-            if collected is not None:
-                collected.append(rows)
+                else:
+                    collected.append(
+                        Page([list(c) for c in page.columns], page.num_rows)
+                    )
             yield page
         if collected is None:
             with self._lock:
@@ -269,7 +272,7 @@ class FragmentCache:
         key: str,
         source: str,
         shape: Optional[FragmentShape],
-        pages: List[List[Row]],
+        pages: List[Page],
         nbytes: int,
         epoch: int,
     ) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 import re
 from itertools import compress, repeat
-from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from ..datatypes import (
     DataType,
@@ -29,22 +29,15 @@ from ..datatypes import (
 from ..errors import ExecutionError, TypeCheckError
 from ..sql import ast
 from ..sql.functions import is_aggregate_name, lookup_scalar
-from .pages import Page, as_page
+from .pages import Page
 
 RowFunction = Callable[[Tuple[Any, ...]], Any]
 
-#: What batch kernels accept: a columnar page, or (for legacy callers) a
-#: plain row-tuple batch that gets transposed on the way in.
-BatchInput = Union[Page, Sequence[Tuple[Any, ...]]]
-
-#: Batch kernel: a whole column of values for a batch of rows.
-BatchFunction = Callable[[BatchInput], List[Any]]
-
-#: Batch predicate kernel: the surviving rows of a batch, as a page.
-BatchPredicate = Callable[[BatchInput], Page]
-
-#: Internal vectorized form: page in, column vector out.
+#: Batch kernel: page in, column vector out.
 VectorFunction = Callable[[Page], List[Any]]
+
+#: Batch predicate kernel: the surviving rows of a page, as a page.
+BatchPredicate = Callable[[Page], Page]
 
 # ---------------------------------------------------------------------------
 # Type inference
@@ -223,25 +216,17 @@ def compile_predicate(expr: ast.Expr, layout: Dict[int, int]) -> RowFunction:
 
 def compile_batch_expression(
     expr: ast.Expr, layout: Dict[int, int]
-) -> BatchFunction:
+) -> VectorFunction:
     """Compile a bound expression into ``fn(page) -> [value, ...]``.
 
-    The kernel evaluates the expression over a whole page column-at-a-time:
-    literals broadcast, column references return the page's column vector
-    (zero copy), and compound expressions run one tight loop per node over
-    the operand vectors instead of one closure call per row per node. NULL
-    (``None``) propagates inside each loop.
-
-    Kernels accept a :class:`~repro.core.pages.Page` or a plain row-tuple
-    list (transposed on entry for legacy callers).
+    The kernel evaluates the expression over a whole
+    :class:`~repro.core.pages.Page` column-at-a-time: literals broadcast,
+    column references return the page's column vector (zero copy), and
+    compound expressions run one tight loop per node over the operand
+    vectors instead of one closure call per row per node. NULL (``None``)
+    propagates inside each loop.
     """
-    width = len(layout)
-    vector = _compile_vector(expr, layout)
-
-    def kernel(batch: BatchInput) -> List[Any]:
-        return vector(as_page(batch, width))
-
-    return kernel
+    return _compile_vector(expr, layout)
 
 
 def compile_batch_predicate(
@@ -256,12 +241,10 @@ def compile_batch_predicate(
     ``itertools.compress`` — no index vector, no per-row gather calls.
     A fully-passing page is returned as-is (zero copy).
     """
-    width = len(layout)
     vector = _compile_vector(expr, layout)
     is_ = operator.is_
 
-    def select(batch: BatchInput) -> Page:
-        page = as_page(batch, width)
+    def select(page: Page) -> Page:
         mask = vector(page)
         # `is True` (not truthiness) drops NULLs, per WHERE semantics.
         selectors = list(map(is_, mask, repeat(True)))

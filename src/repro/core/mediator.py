@@ -37,7 +37,6 @@ from .analyzer import Analyzer
 from .fragments import interpret_plan
 from .health import SourceHealthRegistry
 from .logical import MaterializedRowsOp, ScanOp
-from .pages import Page
 from .physical import (
     ExchangeExec,
     ExecutionContext,
@@ -691,9 +690,7 @@ class GlobalInformationSystem:
         for batch in root.iterate_batches(context):
             if batch:
                 batches += 1
-                rows.extend(
-                    batch.to_rows() if isinstance(batch, Page) else batch
-                )
+                rows.extend(batch)
         context.metrics.batches_output = batches
         context.metrics.batch_rows_avg = len(rows) / batches if batches else 0.0
         return rows

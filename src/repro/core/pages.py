@@ -44,7 +44,6 @@ __all__ = [
     "Column",
     "Page",
     "Row",
-    "as_page",
     "chunk_rows",
     "pages_from_rows",
     "paginate_rows",
@@ -146,13 +145,6 @@ class Page:
 
     def __repr__(self) -> str:
         return f"Page({self.num_rows} rows x {self.width} cols)"
-
-
-def as_page(batch: Union[Page, Sequence[Row]], width: Optional[int] = None) -> Page:
-    """Normalize a batch to a :class:`Page` (no-op when already one)."""
-    if isinstance(batch, Page):
-        return batch
-    return Page.from_rows(batch, width)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from ..datatypes import DataType
 from ..errors import ExecutionError, PlanError, QueryTimeoutError, SourceError
 from ..obs.trace import NULL_SPAN, NULL_TRACER
 from ..sql import ast
-from ..sources.network import SimulatedNetwork
+from ..sources.network import EXACT_UNIT, SimulatedNetwork, exact_units
 from .aggregates import make_accumulator, sort_rows
 from .expressions import (
     build_layout,
@@ -62,7 +62,6 @@ from .expressions import (
 from .fragments import Fragment, equi_join_keys
 from .pages import (
     Page,
-    as_page,
     chunk_rows,
     pages_from_rows,
     split_batches,
@@ -205,6 +204,9 @@ class ExecutionContext:
         self.excluded_sources: Dict[str, str] = {}
         self.metrics = ExecutionMetrics(scheduler_mode=self.scheduler.mode)
         self._metrics_lock = threading.Lock()
+        # ``metrics.network_ms`` is this exact sum rounded once, so it does
+        # not depend on the order worker threads charge their pages in.
+        self._network_units = 0
         # Tracing hooks (see repro.obs): the mediator arms these per query.
         # Operators and the scheduler call them unconditionally — the NULL
         # singletons make the disabled path a single falsy check.
@@ -282,43 +284,42 @@ class ExecutionContext:
             setattr(self.metrics, name, value)
 
     def charge_transfer(
-        self, source_name: str, rows: Any, messages: int, sizer=None
+        self, source_name: str, page: Page, messages: int, sizer=None
     ) -> float:
-        """Account one page (or request) moving between mediator and source.
+        """Account one page moving from a source to the mediator.
 
-        ``rows`` is the shipped page — a :class:`Page` or a plain row-tuple
-        list from a legacy adapter. ``sizer`` is an optional memoized batch
-        sizer (see :func:`make_batch_sizer`) that computes the page's wire
-        size in one call from per-column dtype closures over the column
-        vectors; without one the page is sized value by value. Both produce
+        ``sizer`` is an optional memoized batch sizer (see
+        :func:`make_batch_sizer`) that computes the page's wire size in one
+        call from per-column dtype closures over the column vectors;
+        without one the page is sized value by value. Both produce
         identical totals.
 
         Returns the simulated elapsed milliseconds of this transfer so the
         scheduler can attribute it to the fragment's virtual-clock lane.
         """
         if sizer is not None:
-            payload = sizer(rows)
-        elif isinstance(rows, Page):
+            payload = sizer(page)
+        else:
             payload = sum(
                 _value_bytes(value)
-                for column in rows.columns
+                for column in page.columns
                 for value in column
             )
-        else:
-            payload = sum(_row_bytes(row) for row in rows)
+        rows = page.num_rows
         elapsed = self.network.record_transfer(
-            source_name, payload, len(rows), messages,
+            source_name, payload, rows, messages,
             extra_latency_ms=self._fault_latency(source_name),
         )
         with self._metrics_lock:
             metrics = self.metrics
-            metrics.rows_shipped += len(rows)
+            metrics.rows_shipped += rows
             metrics.bytes_shipped += payload
             metrics.messages += messages
-            metrics.network_ms += elapsed
+            self._network_units += exact_units(elapsed)
+            metrics.network_ms = self._network_units / EXACT_UNIT
             key = source_name.lower()
             metrics.per_source_rows[key] = (
-                metrics.per_source_rows.get(key, 0) + len(rows)
+                metrics.per_source_rows.get(key, 0) + rows
             )
         return elapsed
 
@@ -331,7 +332,8 @@ class ExecutionContext:
         with self._metrics_lock:
             self.metrics.messages += 1
             self.metrics.bytes_shipped += payload_bytes
-            self.metrics.network_ms += elapsed
+            self._network_units += exact_units(elapsed)
+            self.metrics.network_ms = self._network_units / EXACT_UNIT
         return elapsed
 
     def _fault_latency(self, source_name: str) -> float:
@@ -387,12 +389,11 @@ def _text_sizer(values: List[Any]) -> float:
 def _column_sizer(dtype):
     """A per-column sizer ``fn(values) -> bytes`` specialized on the dtype.
 
-    ``values`` is always a materialized list (a page column vector or a
-    gathered legacy column). Each closure reproduces :func:`_value_bytes`
-    exactly for the values a column of that dtype can hold (including
-    NULLs and, defensively, booleans inside numeric columns), so memoized
-    totals are identical to the value-by-value sum — just without an
-    isinstance chain per cell.
+    ``values`` is a page column vector. Each closure reproduces
+    :func:`_value_bytes` exactly for the values a column of that dtype can
+    hold (including NULLs and, defensively, booleans inside numeric
+    columns), so memoized totals are identical to the value-by-value sum —
+    just without an isinstance chain per cell.
     """
     if dtype in (DataType.BOOLEAN, DataType.NULL):
         # bools and NULLs are both 1 byte: a constant per value.
@@ -416,20 +417,15 @@ def make_batch_sizer(columns: Sequence[RelColumn]):
     Returns ``fn(page) -> bytes``: per-column dtype closures are resolved
     once per fragment (at plan time) and applied straight to the page's
     column vectors — no per-row iteration, no per-value isinstance chain.
-    A legacy row-tuple page is sized through a per-column gather instead.
     Totals are identical to :func:`_row_bytes` summed over the rows.
     """
     sizers = [(index, _column_sizer(column.dtype)) for index, column in enumerate(columns)]
 
-    def batch_bytes(batch: Any) -> float:
+    def batch_bytes(page: Page) -> float:
         total = 0.0
-        if isinstance(batch, Page):
-            columns = batch.columns
-            for index, sizer in sizers:
-                total += sizer(columns[index])
-            return total
+        columns = page.columns
         for index, sizer in sizers:
-            total += sizer([row[index] for row in batch])
+            total += sizer(columns[index])
         return total
 
     return batch_bytes
@@ -635,14 +631,10 @@ class ExchangeExec(PhysicalOperator):
             pages = ctx.scheduler.stream_exchange_pages(self, ctx)
             if decision is not None and decision.fill is not None:
                 pages = decision.fill(pages)
-        # Normalize to columnar pages (a no-op for native adapters; legacy
-        # adapters yielding row lists are transposed here), then split
-        # charged pages down to the dataflow batch size — never merged
-        # across page boundaries (see split_batches).
-        width = len(self.columns)
-        normalized = (as_page(page, width) for page in pages)
+        # Split charged pages down to the dataflow batch size — never
+        # merged across page boundaries (see split_batches).
         source = self.fragment.source_name
-        for batch in split_batches(normalized, ctx.batch_size):
+        for batch in split_batches(pages, ctx.batch_size):
             ctx.check_deadline(source)
             yield batch
 
@@ -1431,8 +1423,7 @@ class DistinctExec(PhysicalOperator):
 
     def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         seen: Set[Row] = set()
-        for batch in self.child.iterate_batches(ctx):
-            page = as_page(batch)
+        for page in self.child.iterate_batches(ctx):
             keep: List[int] = []
             for index, row in enumerate(page):
                 if row not in seen:
@@ -1510,8 +1501,7 @@ class SetDifferenceExec(PhysicalOperator):
                 for batch in self.right.iterate_batches(ctx)
                 for row in batch
             )
-            for batch in self.left.iterate_batches(ctx):
-                page = as_page(batch)
+            for page in self.left.iterate_batches(ctx):
                 keep: List[int] = []
                 for index, row in enumerate(page):
                     if remaining[row] > 0:
@@ -1529,8 +1519,7 @@ class SetDifferenceExec(PhysicalOperator):
             for row in batch
         }
         emitted: Set[Row] = set()
-        for batch in self.left.iterate_batches(ctx):
-            page = as_page(batch)
+        for page in self.left.iterate_batches(ctx):
             keep = []
             for index, row in enumerate(page):
                 if row in emitted:

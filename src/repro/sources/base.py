@@ -134,13 +134,13 @@ class Adapter(abc.ABC):
         The page contract (what the exchange charges the simulated network
         for, one message per page): zero or more full pages of exactly
         ``page_rows`` rows, then exactly one final partial page — possibly
-        empty. The default implementation chunks :meth:`execute` through
+        empty. Every page is a :class:`~repro.core.pages.Page` carrying
+        global-typed values; the exchange hands it to the operators as
+        is. The default implementation chunks :meth:`execute` through
         :func:`repro.core.pages.paginate_rows`; adapters whose native
-        protocol is already paged (cursors, paginated APIs) or already
-        columnar should override this to align fetches with the page size
-        and build :class:`~repro.core.pages.Page` objects directly.
-        Adapters may also yield plain row-tuple lists — the exchange
-        transposes them — but native pages skip that bridge.
+        protocol is already paged (cursors) or already columnar override
+        this to align fetches with the page size and convert each page at
+        one site (``SQLiteSource._pages``).
 
         Fault injection (:mod:`repro.sources.faults`) wraps this method
         from the mediator side — every fetch routes through

@@ -20,7 +20,6 @@ from ..datatypes import coerce_value
 from ..errors import CapabilityError, SourceError
 from ..core.fragments import Fragment
 from ..core.logical import ScanOp
-from ..core.pages import Page, paginate_rows
 from .base import Adapter, SourceCapabilities
 
 
@@ -122,18 +121,6 @@ class CsvSource(Adapter):
         ]
         for row in self.scan(mapping.remote_table):
             yield tuple(row[i] for i in indices)
-
-    def execute_pages(self, fragment: Fragment, page_rows: int) -> Iterator[Page]:
-        """Page-granular file serving: every pull slices one whole response
-        page out of the file stream and transposes it into a
-        :class:`Page`. Same page contract as
-        :func:`~repro.core.pages.paginate_rows`: zero or more full pages
-        of exactly ``page_rows`` rows, then exactly one final partial
-        (possibly empty) page.
-        """
-        return paginate_rows(
-            self.execute(fragment), max(page_rows, 1), len(fragment.output_columns)
-        )
 
 
 def _render(value: Any) -> str:

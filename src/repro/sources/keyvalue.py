@@ -15,8 +15,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..catalog.schema import TableSchema
 from ..datatypes import coerce_value
 from ..errors import CapabilityError, DuplicateObjectError, SourceError
-import itertools
-
 from ..core.fragments import Fragment
 from ..core.logical import FilterOp, ScanOp
 from ..core.pages import Page, paginate_rows
@@ -129,11 +127,12 @@ class KeyValueSource(Adapter):
 
         Fast path for bare enumerations: the store's row list is sliced
         and transposed straight into :class:`Page` column vectors.
-        Key-lookup fragments drain page-granular chunks of the lookup
-        stream instead (hit counts are data-dependent, so slicing keys up
-        front could yield partial pages mid-stream and break the page
-        contract). Both paths follow the contract: full pages, then
-        exactly one final partial — possibly empty — page.
+        Key-lookup fragments page the lookup stream through
+        :func:`~repro.core.pages.paginate_rows` instead (hit counts are
+        data-dependent, so slicing keys up front could yield partial pages
+        mid-stream and break the page contract). Both paths follow the
+        contract: full pages, then exactly one final partial — possibly
+        empty — page.
         """
         page_rows = max(page_rows, 1)
         plan = fragment.plan
@@ -165,16 +164,9 @@ class KeyValueSource(Adapter):
                             len(chunk),
                         )
                 return
-        width = len(fragment.output_columns)
-        if overridden:
-            yield from paginate_rows(self.execute(fragment), page_rows, width)
-            return
-        stream = self.execute(fragment)
-        while True:
-            chunk = list(itertools.islice(stream, page_rows))
-            yield Page.from_rows(chunk, width)
-            if len(chunk) < page_rows:
-                return
+        yield from paginate_rows(
+            self.execute(fragment), page_rows, len(fragment.output_columns)
+        )
 
     # -- internals ---------------------------------------------------------
 

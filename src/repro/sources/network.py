@@ -40,20 +40,60 @@ class NetworkLink:
         return self.latency_ms * messages + (total_bytes / self.bandwidth_bytes_per_s) * 1000.0
 
 
-@dataclass
-class TransferMetrics:
-    """Accumulated traffic between the mediator and one source."""
+#: Ledgers sum float charges as exact integer counts of 2**-1074, the
+#: smallest positive float, of which every finite float is a multiple.
+#: ``int / int`` rounds correctly, so a total is rounded once, on read.
+EXACT_UNIT = 1 << 1074
 
-    rows: int = 0
-    bytes: float = 0.0
-    messages: int = 0
-    simulated_ms: float = 0.0
+
+def exact_units(value: float) -> int:
+    """``value`` as an exact integer count of ``1 / EXACT_UNIT``."""
+    numerator, denominator = value.as_integer_ratio()
+    return numerator * (EXACT_UNIT // denominator)
+
+
+class TransferMetrics:
+    """Accumulated traffic between the mediator and one source.
+
+    ``bytes`` and ``simulated_ms`` are summed exactly and rounded to float
+    on read (see :data:`EXACT_UNIT`), so a ledger depends only on the
+    multiset of transfers charged to it, never on the order concurrent
+    workers charged them in.
+    """
+
+    __slots__ = ("rows", "messages", "_bytes", "_simulated_ms")
+
+    def __init__(
+        self,
+        rows: int = 0,
+        bytes: float = 0.0,
+        messages: int = 0,
+        simulated_ms: float = 0.0,
+    ) -> None:
+        self.rows = rows
+        self.messages = messages
+        self._bytes = exact_units(bytes)
+        self._simulated_ms = exact_units(simulated_ms)
+
+    @property
+    def bytes(self) -> float:
+        return self._bytes / EXACT_UNIT
+
+    @property
+    def simulated_ms(self) -> float:
+        return self._simulated_ms / EXACT_UNIT
 
     def merge(self, other: "TransferMetrics") -> None:
         self.rows += other.rows
-        self.bytes += other.bytes
+        self._bytes += other._bytes
         self.messages += other.messages
-        self.simulated_ms += other.simulated_ms
+        self._simulated_ms += other._simulated_ms
+
+    def __repr__(self) -> str:
+        return (
+            f"TransferMetrics(rows={self.rows}, bytes={self.bytes}, "
+            f"messages={self.messages}, simulated_ms={self.simulated_ms})"
+        )
 
 
 class SimulatedNetwork:
@@ -65,9 +105,10 @@ class SimulatedNetwork:
     time.
 
     Accounting is lock-protected: the fragment scheduler's worker threads
-    charge transfers concurrently (the virtual clock itself stays
-    deterministic — each transfer's cost depends only on its own link and
-    payload, so accumulation order does not change the totals).
+    charge transfers concurrently. The virtual clock itself stays
+    deterministic: each transfer's cost depends only on its own link and
+    payload, and :class:`TransferMetrics` sums those costs exactly, so
+    accumulation order does not change the totals.
     """
 
     def __init__(self, default_link: Optional[NetworkLink] = None) -> None:

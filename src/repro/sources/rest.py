@@ -13,7 +13,6 @@ logical API call for tests and for demonstrating wrapper behavior.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -23,7 +22,6 @@ from ..errors import CapabilityError, DuplicateObjectError
 from ..core.expressions import build_layout, compile_predicate
 from ..core.fragments import Fragment
 from ..core.logical import FilterOp, LimitOp, ScanOp
-from ..core.pages import Page
 from ..sql import ast
 from .base import Adapter, SourceCapabilities
 
@@ -158,25 +156,6 @@ class RestSource(Adapter):
             request.rows += 1
             yield reordered
         request.pages = max(1, -(-request.rows // self._page_rows))
-
-    def execute_pages(self, fragment: Fragment, page_rows: int) -> Iterator[Page]:
-        """The service's own pagination: every pull drains one whole API
-        response page (zero or more full pages of exactly ``page_rows``
-        rows, then exactly one final partial — possibly empty — page),
-        transposed into a :class:`Page`. ``request_log`` bookkeeping is
-        unchanged: ``rows`` accrue as the underlying request is driven and
-        ``pages`` still counts *logical* API pages (``ceil(rows /
-        page_rows)``, minimum one), which can differ from wire messages by
-        the final empty page.
-        """
-        page_rows = max(page_rows, 1)
-        width = len(fragment.output_columns)
-        rows = self.execute(fragment)
-        while True:
-            chunk = list(itertools.islice(rows, page_rows))
-            yield Page.from_rows(chunk, width)
-            if len(chunk) < page_rows:
-                return
 
     def _check_predicate(self, predicate: ast.Expr) -> None:
         """Reject predicate shapes outside the advertised API surface."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..catalog.schema import TableSchema
 from ..datatypes import DataType, coerce_value
@@ -158,32 +158,52 @@ class SQLiteSource(Adapter):
     def capabilities(self) -> SourceCapabilities:
         return self._capabilities
 
-    #: Rows pulled per lock acquisition when streaming query results.
+    #: Rows pulled per lock acquisition by :meth:`execute` and :meth:`scan`.
     _FETCH_CHUNK = 512
 
-    def _stream(self, sql: str) -> Iterator[Tuple[Any, ...]]:
-        """Run ``sql`` and stream its rows, holding the connection lock only
-        while actually touching the cursor (concurrent fragments from the
-        scheduler share one sqlite3 connection)."""
-        with self._lock:
-            cursor = self._connection.execute(sql)
-        while True:
+    def _pages(
+        self, sql: str, columns: Sequence[Any], page_rows: int
+    ) -> Iterator[Page]:
+        """Run ``sql`` and yield its result as pages of ``page_rows`` rows,
+        converted from SQLite's representations to global values.
+
+        The one conversion site of this wrapper. Each ``fetchmany`` chunk
+        becomes one page, transposed once and converted a column at a
+        time: only BOOLEAN, DATE and integer values in FLOAT columns are
+        touched; every other column is copied as fetched. The connection
+        lock is held only while touching the cursor (concurrent fragments
+        from the scheduler share one sqlite3 connection). Follows the page
+        contract: full pages, then one final partial (possibly empty) page.
+        """
+        converters = [_CONVERTERS.get(column.dtype, list) for column in columns]
+        try:
             with self._lock:
-                chunk = cursor.fetchmany(self._FETCH_CHUNK)
-            if not chunk:
+                cursor = self._connection.execute(sql)
+                chunk = cursor.fetchmany(page_rows)
+        except sqlite3.Error as exc:
+            raise SourceError(self.name, f"{exc} (sql: {sql})") from exc
+        while True:
+            if chunk:
+                yield Page(
+                    [
+                        convert(raw)
+                        for convert, raw in zip(converters, zip(*chunk))
+                    ],
+                    len(chunk),
+                )
+            else:  # final empty page keeps its width
+                yield Page.empty(len(converters))
+            if len(chunk) < page_rows:
                 return
-            yield from chunk
+            with self._lock:
+                chunk = cursor.fetchmany(page_rows)
 
     def scan(self, native_table: str) -> Iterator[Tuple[Any, ...]]:
         schema = self._native_schema(native_table)
         columns_sql = ", ".join(f'"{column.name}"' for column in schema.columns)
-        for row in self._stream(
-            f'SELECT {columns_sql} FROM "{native_table}"'
-        ):
-            yield tuple(
-                _from_sqlite(value, column.dtype)
-                for value, column in zip(row, schema.columns)
-            )
+        sql = f'SELECT {columns_sql} FROM "{native_table}"'
+        for page in self._pages(sql, schema.columns, self._FETCH_CHUNK):
+            yield from page
 
     def row_count(self, native_table: str) -> Optional[int]:
         self._native_schema(native_table)  # existence check
@@ -195,58 +215,14 @@ class SQLiteSource(Adapter):
 
     def execute(self, fragment: Fragment) -> Iterator[Tuple[Any, ...]]:
         sql = self.compile_fragment(fragment)
-        try:
-            stream = self._stream(sql)
-            first = next(stream, None)
-        except sqlite3.Error as exc:
-            raise SourceError(self.name, f"{exc} (sql: {sql})") from exc
-        output = fragment.output_columns
-
-        def rows():
-            if first is not None:
-                yield first
-            yield from stream
-
-        for row in rows():
-            yield tuple(
-                _from_sqlite(value, column.dtype)
-                for value, column in zip(row, output)
-            )
+        for page in self._pages(sql, fragment.output_columns, self._FETCH_CHUNK):
+            yield from page
 
     def execute_pages(self, fragment: Fragment, page_rows: int) -> Iterator[Page]:
-        """Page-aligned columnar fragment execution: ``fetchmany(page_rows)``
-        per response page, transposed once into :class:`Page` column
-        vectors with per-column SQLite→global value normalization. One
-        cursor fetch produces exactly one charged page instead of
-        re-chunking a row stream. Follows the page contract: full pages,
-        then one final partial (possibly empty) page.
-        """
-        page_rows = max(page_rows, 1)
+        """Page-aligned execution: one ``fetchmany(page_rows)`` per charged
+        response page (see :meth:`_pages`)."""
         sql = self.compile_fragment(fragment)
-        output = fragment.output_columns
-        try:
-            with self._lock:
-                cursor = self._connection.execute(sql)
-                chunk = cursor.fetchmany(page_rows)
-        except sqlite3.Error as exc:
-            raise SourceError(self.name, f"{exc} (sql: {sql})") from exc
-        while True:
-            if chunk:
-                page = Page(
-                    [
-                        [_from_sqlite(value, column.dtype) for value in raw]
-                        for raw, column in zip(zip(*chunk), output)
-                    ],
-                    len(chunk),
-                )
-            else:  # final empty page keeps its width
-                page = Page([[] for _ in output], 0)
-            if len(chunk) < page_rows:
-                yield page  # final partial (possibly empty) page
-                return
-            yield page
-            with self._lock:
-                chunk = cursor.fetchmany(page_rows)
+        yield from self._pages(sql, fragment.output_columns, max(page_rows, 1))
 
     def compile_fragment(self, fragment: Fragment) -> str:
         """The native SQL this wrapper runs for a fragment (EXPLAIN surface)."""
@@ -281,14 +257,25 @@ def _to_sqlite(value: Any) -> Any:
     return value
 
 
-def _from_sqlite(value: Any, dtype: DataType) -> Any:
-    """SQLite value → global value for a declared column type."""
-    if value is None:
-        return None
-    if dtype == DataType.BOOLEAN:
-        return bool(value)
-    if dtype == DataType.DATE:
-        return coerce_value(value, DataType.DATE)
-    if dtype == DataType.FLOAT and isinstance(value, int):
-        return float(value)
-    return value
+def _to_bool(raw: Sequence[Any]) -> List[Any]:
+    return [None if value is None else bool(value) for value in raw]
+
+
+def _to_date(raw: Sequence[Any]) -> List[Any]:
+    return [
+        None if value is None else coerce_value(value, DataType.DATE)
+        for value in raw
+    ]
+
+
+def _to_float(raw: Sequence[Any]) -> List[Any]:
+    # REAL columns hand back integral values as ``int``.
+    return [float(value) if type(value) is int else value for value in raw]
+
+
+#: SQLite column → global column vector, per declared type (others: as is).
+_CONVERTERS: Dict[DataType, Callable[[Sequence[Any]], List[Any]]] = {
+    DataType.BOOLEAN: _to_bool,
+    DataType.DATE: _to_date,
+    DataType.FLOAT: _to_float,
+}

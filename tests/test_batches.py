@@ -109,6 +109,7 @@ class TestChunkingHelpers:
 NULL_HEAVY_ROWS = [
     (1, "a"), (None, None), (3, "ccc"), (None, "d"), (5, None), (None, ""),
 ]
+NULL_HEAVY_PAGE = Page.from_rows(NULL_HEAVY_ROWS)
 
 
 class TestBatchKernels:
@@ -120,21 +121,21 @@ class TestBatchKernels:
         expr = ast.BinaryOp("+", self.cols[0].ref(), ast.Literal(10, INT))
         row_fn = compile_expression(expr, self.layout)
         batch_fn = compile_batch_expression(expr, self.layout)
-        assert batch_fn(NULL_HEAVY_ROWS) == \
+        assert batch_fn(NULL_HEAVY_PAGE) == \
             [row_fn(row) for row in NULL_HEAVY_ROWS]
 
     def test_batch_column_kernel(self):
         expr = self.cols[1].ref()
         batch_fn = compile_batch_expression(expr, self.layout)
-        assert batch_fn(NULL_HEAVY_ROWS) == \
+        assert batch_fn(NULL_HEAVY_PAGE) == \
             [row[1] for row in NULL_HEAVY_ROWS]
 
     def test_batch_literal_kernel(self):
         batch_fn = compile_batch_expression(
             ast.Literal(7, INT), self.layout
         )
-        assert batch_fn(NULL_HEAVY_ROWS) == [7] * len(NULL_HEAVY_ROWS)
-        assert batch_fn([]) == []
+        assert batch_fn(NULL_HEAVY_PAGE) == [7] * len(NULL_HEAVY_ROWS)
+        assert batch_fn(Page.empty(2)) == []
 
     def test_batch_predicate_matches_row_predicate(self):
         predicate = ast.BinaryOp(">", self.cols[0].ref(),
@@ -142,9 +143,9 @@ class TestBatchKernels:
         row_fn = compile_predicate(predicate, self.layout)
         batch_fn = compile_batch_predicate(predicate, self.layout)
         # WHERE semantics: NULL comparisons drop the row in both paths.
-        assert batch_fn(NULL_HEAVY_ROWS) == \
+        assert batch_fn(NULL_HEAVY_PAGE) == \
             [row for row in NULL_HEAVY_ROWS if row_fn(row) is True]
-        assert batch_fn(NULL_HEAVY_ROWS) == [(3, "ccc"), (5, None)]
+        assert batch_fn(NULL_HEAVY_PAGE) == [(3, "ccc"), (5, None)]
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +167,7 @@ class TestBatchSizer:
             (7, "", 0.0, False, datetime.date(1989, 6, 1)),
         ]
         sizer = make_batch_sizer(cols)
-        assert sizer(rows) == sum(_row_bytes(row) for row in rows)
-        assert sizer([]) == 0.0
-        # The columnar fast path agrees with the legacy row-batch path.
-        assert sizer(Page.from_rows(rows)) == sizer(rows)
+        assert sizer(Page.from_rows(rows)) == sum(_row_bytes(row) for row in rows)
         assert sizer(Page.empty(len(cols))) == 0.0
 
 

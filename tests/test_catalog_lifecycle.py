@@ -18,6 +18,7 @@ import pytest
 from repro import GlobalInformationSystem, MemorySource
 from repro.catalog import events as ev
 from repro.catalog.schema import schema_from_pairs
+from repro.core.pages import Page
 from repro.core.physical import ExchangeExec
 from repro.errors import (
     CatalogError,
@@ -305,7 +306,9 @@ class TestUnifiedVersions:
         ctx = gis._execution_context(None)
         decision = gis.fragment_cache.begin(exchange, ctx)
         assert decision is not None and decision.fill is not None
-        filled = decision.fill(iter([[(1, "e", 10.0)], [(2, "w", 20.0)]]))
+        filled = decision.fill(
+            iter([Page.from_rows([(1, "e", 10.0)]), Page.from_rows([(2, "w", 20.0)])])
+        )
         next(filled)  # first page in flight...
         gis.notify_source_changed("crm")  # ...the catalog observes a change...
         for _ in filled:  # ...and the stream still finishes cleanly

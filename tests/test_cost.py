@@ -1,11 +1,18 @@
 """Cost model and simulated network accounting."""
 
+import random
+import sys
+import threading
+from fractions import Fraction
+
 import pytest
 
-from repro import Catalog, NetworkLink, SimulatedNetwork
+from repro import Catalog, NetworkLink, PlannerOptions, SimulatedNetwork
 from repro.core.cardinality import Estimator
 from repro.core.cost import Cost, CostModel
 from repro.core.logical import RelColumn
+from repro.core.pages import Page
+from repro.core.physical import ExecutionContext
 from repro.datatypes import DataType
 from repro.errors import GISError
 
@@ -66,6 +73,112 @@ class TestSimulatedNetwork:
     def test_default_link_used_for_unknown_source(self):
         network = SimulatedNetwork(NetworkLink(latency_ms=77.0))
         assert network.link_for("anything").latency_ms == 77.0
+
+
+def _transfers():
+    """Charges whose float costs round differently in different orders."""
+    rng = random.Random(11)
+    return [
+        (f"s{index % 4}", rng.uniform(1.0, 5000.0), rng.randrange(1, 50))
+        for index in range(400)
+    ]
+
+
+def _order_free_network():
+    network = SimulatedNetwork()
+    for index in range(4):
+        network.set_link(
+            f"s{index}", NetworkLink(0.1 + index / 7.0, 333_333.3 * (index + 1))
+        )
+    return network
+
+
+def _charge_from_threads(transfers, charge, workers=4):
+    """Charge ``transfers`` from several threads started together, with a
+    short switch interval so their charges interleave."""
+    barrier = threading.Barrier(workers)
+
+    def run(share):
+        barrier.wait(timeout=10)
+        for transfer in share:
+            charge(*transfer)
+
+    threads = [
+        threading.Thread(target=run, args=(transfers[index::workers],))
+        for index in range(workers)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+class TestOrderFreeLedger:
+    """The virtual ledgers are functions of the multiset of charges."""
+
+    def test_shuffled_concurrent_charges_read_one_bit_pattern(self):
+        transfers = _transfers()
+        network = _order_free_network()
+        costs = [
+            network.link_for(source).transfer_time_ms(payload)
+            for source, payload, _ in transfers
+        ]
+        exact = float(sum(map(Fraction, costs)))
+        naive = set()
+        readings = set()
+        for seed in range(6):
+            order = list(range(len(transfers)))
+            random.Random(seed).shuffle(order)
+            naive.add(sum(costs[i] for i in order).hex())
+            network = _order_free_network()
+            _charge_from_threads(
+                [transfers[i] for i in order],
+                lambda source, payload, rows: network.record_transfer(
+                    source, payload, rows
+                ),
+            )
+            per_source = network.per_source()
+            readings.add((
+                network.total.simulated_ms.hex(),
+                network.total.bytes.hex(),
+                tuple(
+                    (name, ledger.simulated_ms.hex(), ledger.bytes.hex())
+                    for name, ledger in sorted(per_source.items())
+                ),
+            ))
+        assert len(naive) > 1  # float addition in arrival order would differ
+        assert len(readings) == 1
+        assert network.total.simulated_ms == exact
+        assert network.total.rows == sum(rows for _, _, rows in transfers)
+
+    def test_query_network_ms_is_order_free(self):
+        transfers = _transfers()
+        readings = set()
+        for seed in range(6):
+            shuffled = list(transfers)
+            random.Random(seed).shuffle(shuffled)
+            ctx = ExecutionContext(
+                Catalog(), _order_free_network(), PlannerOptions()
+            )
+            _charge_from_threads(
+                shuffled,
+                lambda source, payload, rows: ctx.charge_transfer(
+                    source, Page.empty(0), 1, lambda page: payload
+                ),
+            )
+            assert ctx.metrics.messages == len(transfers)
+            readings.add(
+                (ctx.metrics.network_ms.hex(), ctx.network.total.simulated_ms.hex())
+            )
+        assert len(readings) == 1
+        network_ms, total_ms = readings.pop()
+        assert network_ms == total_ms
 
 
 class TestCost:

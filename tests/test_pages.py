@@ -28,7 +28,7 @@ from repro.core.expressions import (
     compile_predicate,
 )
 from repro.core.logical import RelColumn
-from repro.core.pages import Page, as_page
+from repro.core.pages import Page
 from repro.datatypes import DataType
 from repro.errors import ExecutionError
 from repro.sql import ast
@@ -100,12 +100,6 @@ class TestPage:
         assert page == Page.from_rows(self.ROWS)
         assert page != self.ROWS[:2]
         assert page != Page.from_rows(self.ROWS[:2])
-
-    def test_as_page_normalizes(self):
-        page = Page.from_rows(self.ROWS)
-        assert as_page(page) is page
-        assert as_page(self.ROWS) == page
-        assert as_page([], width=2).width == 2
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +237,6 @@ def test_vectorized_rejects_aggregates_like_row_compiler():
         compile_batch_expression(count, LAYOUT)
     with pytest.raises(ExecutionError):
         compile_expression(count, LAYOUT)
-
-
-def test_batch_inputs_accept_plain_row_lists():
-    expr = ast.BinaryOp("+", A, lit(1))
-    fn = compile_batch_expression(expr, LAYOUT)
-    rows = [(1, "x", 0.0, True), (None, "y", 1.0, False)]
-    assert fn(rows) == [2, None]
 
 
 @settings(max_examples=60, deadline=None,

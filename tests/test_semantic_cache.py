@@ -23,6 +23,7 @@ from repro import (
 from repro.cache import FragmentCache, SourceEpochs
 from repro.core.planner import EXECUTION_ONLY_OPTIONS
 from repro.catalog.schema import schema_from_pairs
+from repro.core.pages import Page
 from repro.core.physical import ExchangeExec
 from repro.errors import CatalogError, ExecutionError, ParseError
 from repro.sources.faults import FaultPlan, FaultSpec
@@ -264,7 +265,9 @@ def test_midflight_epoch_bump_rejects_admission():
     ctx = gis._execution_context(None)
     decision = gis.fragment_cache.begin(exchange, ctx)
     assert decision is not None and decision.fill is not None
-    filled = decision.fill(iter([[(1, "e", 10.0)], [(2, "w", 20.0)]]))
+    filled = decision.fill(
+        iter([Page.from_rows([(1, "e", 10.0)]), Page.from_rows([(2, "w", 20.0)])])
+    )
     next(filled)  # first page in flight...
     gis.source_epochs.bump("crm")  # ...the source moves...
     for _ in filled:  # ...and the stream still finishes cleanly
@@ -283,7 +286,9 @@ def test_abandoned_fill_is_not_admitted():
     )
     ctx = gis._execution_context(None)
     decision = gis.fragment_cache.begin(exchange, ctx)
-    filled = decision.fill(iter([[(1, "e", 10.0)], [(2, "w", 20.0)]]))
+    filled = decision.fill(
+        iter([Page.from_rows([(1, "e", 10.0)]), Page.from_rows([(2, "w", 20.0)])])
+    )
     next(filled)
     filled.close()  # consumer abandoned mid-stream (LIMIT, error, deadline)
     assert gis.fragment_cache.stats()["admissions"] == 0

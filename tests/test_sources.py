@@ -194,6 +194,49 @@ class TestSQLiteSource:
         source.declare_table("raw", schema_from_pairs("raw", [("a", "INT")]))
         assert list(source.scan("raw")) == [(7,)]
 
+    def test_read_paths_agree_on_values_and_types(self):
+        """``scan`` (ANALYZE), ``execute`` and ``execute_pages`` convert
+        through one site: equal rows, equal Python type per value."""
+        source = SQLiteSource("s")
+        # The FLOAT-declared price is stored with INTEGER affinity, so
+        # SQLite hands most prices back as int.
+        source.connection.execute(
+            "CREATE TABLE items (id INTEGER, name TEXT, price INTEGER,"
+            " added TEXT, active INTEGER)"
+        )
+        source.connection.executemany(
+            "INSERT INTO items VALUES (?, ?, ?, ?, ?)",
+            [
+                (1, "anvil", 10, "1989-01-01", 1),
+                (2, None, 0, None, 0),
+                (3, "crate", None, "1989-03-01", None),
+                (4, "drill", 2.5, "1989-04-01", 1),
+                (5, "", 7, None, 0),
+            ],
+        )
+        source.declare_table("items", SCHEMA)
+        fragment = scan_fragment(catalog_for(source, "s"), "s")
+
+        scanned = list(source.scan("items"))
+        executed = list(source.execute(fragment))
+        pages = list(source.execute_pages(fragment, 2))
+        paged = [row for page in pages for row in page]
+
+        assert [len(page) for page in pages] == [2, 2, 1]
+        assert scanned == executed == paged
+        for rows in (executed, paged):
+            assert [[type(v) for v in row] for row in rows] == \
+                [[type(v) for v in row] for row in scanned]
+        assert [row[2] for row in scanned] == [10.0, 0.0, None, 2.5, 7.0]
+        assert {type(row[2]) for row in scanned} == {float, type(None)}
+        assert [row[3] for row in scanned] == [
+            datetime.date(1989, 1, 1), None, datetime.date(1989, 3, 1),
+            datetime.date(1989, 4, 1), None,
+        ]
+        assert [row[4] for row in scanned] == [True, False, None, True, False]
+        assert {type(row[4]) for row in scanned} == {bool, type(None)}
+        assert [row[1] for row in scanned] == ["anvil", None, "crate", "drill", ""]
+
     def test_duplicate_load_rejected(self):
         source = self.make()
         with pytest.raises(DuplicateObjectError):
