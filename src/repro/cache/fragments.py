@@ -179,7 +179,7 @@ class FragmentCache:
         # strictly before any fetch began — so a bump that lands anywhere
         # mid-query invalidates the admission.
         admit_epoch = ctx.epoch_snapshot.get(source, 0)
-        sizer = getattr(exchange, "_sizer", None)
+        sizer = exchange._sizer
         return _Decision(
             fill=lambda pages: self._fill(
                 pages, key, source, shape, admit_epoch, sizer
@@ -213,11 +213,10 @@ class FragmentCache:
         """Yield the entry's pages (through the residual when subsumed),
         crediting ``fragment_cache_bytes_saved`` with the wire bytes a
         cold execution of the probing fragment would have shipped."""
-        sizer = getattr(exchange, "_sizer", None)
+        sizer = exchange._sizer
         if residual is None:
             for page in entry.pages:
-                if sizer is not None:
-                    ctx.add_metric("fragment_cache_bytes_saved", sizer(page))
+                ctx.add_metric("fragment_cache_bytes_saved", sizer(page))
                 yield page
             return
         predicate, layout, projection = residual
@@ -233,8 +232,7 @@ class FragmentCache:
             if not identity:
                 page = Page([page.columns[i] for i in projection], page.num_rows)
             if page:
-                if sizer is not None:
-                    ctx.add_metric("fragment_cache_bytes_saved", sizer(page))
+                ctx.add_metric("fragment_cache_bytes_saved", sizer(page))
                 yield page
 
     def _fill(
@@ -252,8 +250,7 @@ class FragmentCache:
         nbytes = 0
         for page in pages:
             if collected is not None:
-                if sizer is not None:
-                    nbytes += sizer(page)
+                nbytes += sizer(page)
                 if nbytes > self.budget_bytes:
                     collected = None  # larger than the whole budget
                 else:

@@ -573,7 +573,7 @@ class GlobalInformationSystem:
         epoch = cache.epoch
         entry = cache.lookup(param.shape_key, key_opts)
         if entry is not None:
-            bound = entry.bind(sql, param.values, self.catalog, opts)
+            bound = entry.bind(sql, param.values, self.catalog)
             if bound is not None:
                 cache.record_hit()
                 return bound, True
@@ -1104,7 +1104,7 @@ class PreparedStatement:
             cache = self._gis.plan_cache
             entry = self._entry
             if entry.epoch == cache.epoch:
-                bound = entry.bind(self.sql, values, self._gis.catalog, opts)
+                bound = entry.bind(self.sql, values, self._gis.catalog)
                 if bound is not None:
                     cache.record_hit()
                     return bound, True

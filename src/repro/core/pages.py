@@ -156,7 +156,7 @@ def chunk_rows(rows: Iterable[Row], size: int) -> Iterator[Page]:
     """Chunk a row *stream* into non-empty pages of at most ``size`` rows.
 
     Dataflow chunker for operators whose algorithm emits rows one at a
-    time (merge join, sort, window). Never yields an empty page (an empty
+    time (sort, window). Never yields an empty page (an empty
     stream yields nothing) — empty pages are an adapter wire-protocol
     artifact, not a dataflow one.
     """

@@ -5,8 +5,8 @@ The physical planner maps each logical node onto an operator implementation:
 * ``RemoteQueryOp`` → :class:`ExchangeExec` (fragment execution at the
   source + paged transfer accounting on the simulated network), or — when a
   bind spec is attached — a :class:`BindJoinExec` at the consuming join;
-* equi-joins → :class:`HashJoinExec` (right side builds), everything else →
-  :class:`NestedLoopJoinExec`;
+* every join → :class:`HashJoinExec` (right side builds, left probes), on
+  equi keys or, for the nested loop, on none;
 * aggregation → :class:`HashAggregateExec`; sorts are full in-memory sorts.
 
 Operators pull **columnar pages** (:class:`~repro.core.pages.Page`: one
@@ -32,10 +32,13 @@ import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, compress, repeat
+from operator import is_
 from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -47,7 +50,7 @@ from typing import (
 from ..cache.keys import fragment_shape
 from ..catalog.catalog import Catalog
 from ..datatypes import DataType
-from ..errors import ExecutionError, PlanError, QueryTimeoutError, SourceError
+from ..errors import PlanError, QueryTimeoutError, SourceError
 from ..obs.trace import NULL_SPAN, NULL_TRACER
 from ..sql import ast
 from ..sources.network import EXACT_UNIT, SimulatedNetwork, exact_units
@@ -57,7 +60,6 @@ from .expressions import (
     compile_batch_expression,
     compile_batch_predicate,
     compile_expression,
-    compile_predicate,
 )
 from .fragments import Fragment, equi_join_keys
 from .pages import (
@@ -284,27 +286,18 @@ class ExecutionContext:
             setattr(self.metrics, name, value)
 
     def charge_transfer(
-        self, source_name: str, page: Page, messages: int, sizer=None
+        self, source_name: str, page: Page, messages: int, sizer
     ) -> float:
         """Account one page moving from a source to the mediator.
 
-        ``sizer`` is an optional memoized batch sizer (see
-        :func:`make_batch_sizer`) that computes the page's wire size in one
-        call from per-column dtype closures over the column vectors;
-        without one the page is sized value by value. Both produce
-        identical totals.
+        ``sizer`` is the fragment's memoized batch sizer (see
+        :func:`make_batch_sizer`): it computes the page's wire size in one
+        call from per-column dtype closures over the column vectors.
 
         Returns the simulated elapsed milliseconds of this transfer so the
         scheduler can attribute it to the fragment's virtual-clock lane.
         """
-        if sizer is not None:
-            payload = sizer(page)
-        else:
-            payload = sum(
-                _value_bytes(value)
-                for column in page.columns
-                for value in column
-            )
+        payload = sizer(page)
         rows = page.num_rows
         elapsed = self.network.record_transfer(
             source_name, payload, rows, messages,
@@ -352,7 +345,7 @@ def _row_bytes(row: Row) -> float:
 
 
 def _value_bytes(value: Any) -> float:
-    """Wire size of one value (the per-value fallback the sizers memoize)."""
+    """Wire size of one value (the rule the column sizers memoize)."""
     if value is None:
         return 1.0
     if isinstance(value, bool):
@@ -693,23 +686,28 @@ class ProjectExec(PhysicalOperator):
 
 
 class HashJoinExec(PhysicalOperator):
-    """Equi-join: builds a hash table on the right input, probes with the left.
+    """The engine's one join: builds on the right input, probes with the left.
 
-    Supports INNER, LEFT, SEMI, ANTI (with NOT IN null-awareness), plus a
-    residual predicate evaluated on candidate pairs.
+    Runs INNER/CROSS, LEFT, SEMI and ANTI (with NOT IN null-awareness) on
+    equi keys or on none, plus an optional residual predicate, page at a
+    time and column-wise throughout:
 
-    Both sides extract join keys **column-wise, once per page**: a
-    single-key join uses the kernel's output vector directly as the key
-    column (scalar dict keys — no per-row tuple allocation at all), a
-    multi-key join transposes the key vectors with one C-speed
-    ``zip(*columns)``. The probe's table lookups run through
-    ``map(table.get, keys)`` — a pure C loop per page (NULL and absent
-    keys both map to ``None``; NULL keys are never inserted at build, so
-    the two are indistinguishable exactly as equi-join semantics demand).
-    INNER/SEMI/ANTI probes without a residual assemble output pages
-    columnar-ly (index gather on the left, one transpose for matched
-    right rows); LEFT joins and residual predicates keep a per-row
-    emission loop over the matched candidates.
+    * **Build.** The right pages' column vectors are concatenated, and
+      each non-NULL key maps to the list of its row positions in build
+      order. A single key uses the key kernel's output vector directly
+      (scalar dict keys); compound keys transpose with one ``zip(*…)``.
+    * **Probe.** Each left page becomes paired (left position, right
+      position) lists, in left order and then build order, and output
+      pages gather both sides column by column. A residual runs as a
+      batch kernel over the gathered candidate pairs; a pair survives
+      only where it ``is True``. LEFT points each unmatched left row at
+      one all-NULL row appended to the right columns; SEMI and ANTI keep
+      the left positions that have (or lack) a passing pair, and without
+      a residual they read the table directly.
+    * **No keys.** Every left row pairs with every right row: the nested
+      loop join, labelled ``NestedLoopJoin(kind)`` in EXPLAIN. Its probe
+      takes left slices of about ``batch_size // right_rows`` rows, so a
+      left page is never paired with the whole right side at once.
     """
 
     def __init__(
@@ -730,8 +728,6 @@ class HashJoinExec(PhysicalOperator):
         self.null_aware = null_aware
         left_layout = build_layout(left.columns)
         right_layout = build_layout(right.columns)
-        # Join keys are computed as whole columns per page; the build and
-        # probe loops then index into the key vectors row by row.
         self._left_key_kernels = [
             compile_batch_expression(k, left_layout) for k in left_keys
         ]
@@ -740,346 +736,254 @@ class HashJoinExec(PhysicalOperator):
         ]
         combined = build_layout(list(left.columns) + list(right.columns))
         self._residual = (
-            compile_predicate(residual, combined) if residual is not None else None
+            compile_batch_expression(residual, combined)
+            if residual is not None
+            else None
         )
 
     def children(self) -> List[PhysicalOperator]:
         return [self.left, self.right]
 
     def describe(self) -> str:
-        return f"HashJoin({self.kind})"
+        if self._left_key_kernels:
+            return f"HashJoin({self.kind})"
+        return f"NestedLoopJoin({self.kind})"
 
-    def _extract_keys(self, kernels, batch: Batch):
-        """The page's join-key sequence: the raw key vector for a single
-        key, transposed tuples for compound keys."""
+    @staticmethod
+    def _extract_keys(kernels, batch: Batch) -> List[Any]:
+        """The page's join keys: the raw key vector for a single key,
+        transposed tuples for compound keys. A key with a NULL part is
+        ``None`` either way."""
         if len(kernels) == 1:
             return kernels[0](batch)
-        return list(zip(*[kernel(batch) for kernel in kernels]))
+        return [
+            None if None in key else key
+            for key in zip(*[kernel(batch) for kernel in kernels])
+        ]
 
-    def _build_table(
-        self, ctx: ExecutionContext
-    ) -> Tuple[Dict[Any, List[Row]], bool, int]:
-        """Hash the right input: ``(table, saw a NULL key, row count)``."""
-        table: Dict[Any, List[Row]] = {}
-        has_null = False
-        count = 0
+    def _build(
+        self, ctx: ExecutionContext, pages: Iterable[Batch]
+    ) -> Tuple[List[List[Any]], Dict[Any, List[int]], int, bool]:
+        """``(right columns, key -> positions, right rows, saw a NULL key)``."""
+        right_columns: List[List[Any]] = [[] for _ in self.right.columns]
+        table: Dict[Any, List[int]] = {}
         setdefault = table.setdefault
         kernels = self._right_key_kernels
-        for batch in self.right.iterate_batches(ctx):
+        rows = 0
+        null_key = False
+        for page in pages:
             ctx.check_deadline()
-            count += len(batch)
-            if len(kernels) == 1:
-                for key, row in zip(kernels[0](batch), batch):
+            for column, values in zip(right_columns, page.columns):
+                column.extend(values)
+            if kernels:
+                for position, key in enumerate(
+                    self._extract_keys(kernels, page), rows
+                ):
                     if key is None:
-                        has_null = True
+                        null_key = True
                     else:
-                        setdefault(key, []).append(row)
-            else:
-                key_columns = [kernel(batch) for kernel in kernels]
-                for key, row in zip(zip(*key_columns), batch):
-                    # Key parts are scalar column values, so `in` (which
-                    # compares with ==) finds exactly the None parts.
-                    if None in key:
-                        has_null = True
-                    else:
-                        setdefault(key, []).append(row)
-        return table, has_null, count
+                        setdefault(key, []).append(position)
+            rows += page.num_rows
+        return right_columns, table, rows, null_key
 
-    def _make_prober(self, table: Dict[Any, List[Row]], right_count: int):
-        """Compile ``probe(page) -> Page | row list | None`` for this join."""
-        kernels = self._left_key_kernels
-        single = len(kernels) == 1
-        extract = self._extract_keys
-        residual = self._residual
+    def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+        return self.join_pages(
+            ctx, self.left.iterate_batches(ctx), self.right.iterate_batches(ctx)
+        )
+
+    def join_pages(
+        self,
+        ctx: ExecutionContext,
+        left_pages: Iterable[Batch],
+        right_pages: Iterable[Batch],
+    ) -> Iterator[Batch]:
+        """Join a probe page stream against a build page stream: the right
+        pages are drained first, then each left page is probed in turn."""
+        right_columns, table, right_rows, null_key = self._build(
+            ctx, right_pages
+        )
         kind = self.kind
-        null_aware = self.null_aware
-        null_right = (None,) * len(self.right.columns)
+        if kind == "ANTI" and self.null_aware and null_key:
+            return  # NOT IN with a NULL on the right: empty result
+        # LEFT's unmatched rows point at one all-NULL right row.
+        null_position = right_rows
+        if kind == "LEFT":
+            for column in right_columns:
+                column.append(None)
+        kernels = self._left_key_kernels
+        residual = self._residual
+        semi = kind == "SEMI"
+        # NULL NOT IN (non-empty set) is never TRUE: such rows are dropped.
+        drop_null_keys = kind == "ANTI" and self.null_aware and right_rows > 0
         get = table.get
+        size = ctx.batch_size
 
-        if residual is None and kind == "INNER":
+        def gather(page: Batch, left_positions, right_positions) -> Batch:
+            return Page(
+                [list(map(c.__getitem__, left_positions)) for c in page.columns]
+                + [list(map(c.__getitem__, right_positions)) for c in right_columns],
+                len(left_positions),
+            )
 
-            def probe_inner(batch: Batch):
-                keys = extract(kernels, batch)
-                left_indices: List[int] = []
-                matched_rows: List[Row] = []
-                add_index = left_indices.append
-                add_row = matched_rows.append
-                for index, matches in enumerate(map(get, keys)):
-                    if matches is not None:
-                        for right_row in matches:
-                            add_index(index)
-                            add_row(right_row)
-                if not left_indices:
-                    return None
-                left_page = batch.take(left_indices)
-                right_columns: List[Any] = [
-                    list(column) for column in zip(*matched_rows)
-                ]
-                return Page(
-                    left_page.columns + right_columns, len(left_indices)
-                )
-
-            return probe_inner
-
-        if residual is None and kind == "SEMI":
-
-            def probe_semi(batch: Batch):
-                keys = extract(kernels, batch)
+        def emit(page: Batch, left_positions, right_positions, keys):
+            """The output page for one page's candidate pairs, or None."""
+            if residual is not None and left_positions:
+                candidates = gather(page, left_positions, right_positions)
+                passing = list(map(is_, residual(candidates), repeat(True)))
+                if kind in ("INNER", "CROSS"):
+                    count = passing.count(True)
+                    if count == candidates.num_rows:
+                        return candidates
+                    return Page(
+                        [list(compress(c, passing)) for c in candidates.columns],
+                        count,
+                    )
+                left_positions = list(compress(left_positions, passing))
+                right_positions = list(compress(right_positions, passing))
+            if kind in ("SEMI", "ANTI"):
+                matched = set(left_positions)
+                if drop_null_keys and keys is not None:
+                    matched.update(
+                        index for index, key in enumerate(keys) if key is None
+                    )
                 keep = [
                     index
-                    for index, matches in enumerate(map(get, keys))
-                    if matches is not None
+                    for index in range(page.num_rows)
+                    if (index in matched) == semi
                 ]
-                if not keep:
-                    return None
-                if len(keep) == batch.num_rows:
-                    return batch
-                return batch.take(keep)
+                if len(keep) == page.num_rows:
+                    return page
+                return page.take(keep) if keep else None
+            if kind == "LEFT":
+                left_positions, right_positions = _pad_unmatched(
+                    left_positions, right_positions, page.num_rows, null_position
+                )
+            if not left_positions:
+                return None
+            return gather(page, left_positions, right_positions)
 
-            return probe_semi
-
-        if residual is None and kind == "ANTI":
-
-            def probe_anti(batch: Batch):
-                keys = extract(kernels, batch)
-                if null_aware and right_count > 0:
-                    # NULL NOT IN (non-empty set) is never TRUE: null-key
-                    # rows are dropped along with the matched ones.
-                    if single:
-                        keep = [
-                            index
-                            for index, key in enumerate(keys)
-                            if key is not None and get(key) is None
-                        ]
-                    else:
-                        keep = [
-                            index
-                            for index, key in enumerate(keys)
-                            if None not in key and get(key) is None
-                        ]
+        def probe_keyed(page: Batch) -> Optional[Batch]:
+            keys = self._extract_keys(kernels, page)
+            if residual is None and kind in ("SEMI", "ANTI"):
+                if drop_null_keys:
+                    keep = [
+                        index
+                        for index, key in enumerate(keys)
+                        if key is not None and get(key) is None
+                    ]
                 else:
                     keep = [
                         index
                         for index, matches in enumerate(map(get, keys))
-                        if matches is None
+                        if (matches is not None) == semi
                     ]
-                if not keep:
-                    return None
-                if len(keep) == batch.num_rows:
-                    return batch
-                return batch.take(keep)
-
-            return probe_anti
-
-        def probe_general(batch: Batch):
-            keys = extract(kernels, batch)
-            out: List[Row] = []
-            append = out.append
-            for left_row, key, matches in zip(batch, keys, map(get, keys)):
+                if len(keep) == page.num_rows:
+                    return page
+                return page.take(keep) if keep else None
+            left_positions: List[int] = []
+            right_positions: List[int] = []
+            add_left = left_positions.append
+            add_right = right_positions.append
+            # Unique keys take the append path; a key with many build rows
+            # extends both lists at once.
+            for index, matches in enumerate(map(get, keys)):
                 if matches is None:
-                    matches = ()
-                elif residual is not None:
-                    matches = [
-                        right_row
-                        for right_row in matches
-                        if residual(left_row + right_row)
-                    ]
-                if kind == "INNER":
-                    for right_row in matches:
-                        append(left_row + right_row)
-                elif kind == "LEFT":
-                    if matches:
-                        for right_row in matches:
-                            append(left_row + right_row)
-                    else:
-                        append(left_row + null_right)
-                elif kind == "SEMI":
-                    if matches:
-                        append(left_row)
-                elif kind == "ANTI":
-                    if matches:
-                        continue
-                    if null_aware and right_count > 0:
-                        if single:
-                            if key is None:
-                                continue
-                        elif None in key:
-                            continue  # NULL NOT IN (non-empty) never TRUE
-                    append(left_row)
-                else:  # pragma: no cover - planner guards
-                    raise ExecutionError(
-                        f"hash join cannot handle kind {kind!r}"
-                    )
-            return out
-
-        return probe_general
-
-    def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        table, right_has_null_key, right_count = self._build_table(ctx)
-        if self.kind == "ANTI" and self.null_aware and right_has_null_key:
-            return  # NOT IN with a NULL on the right: empty result
-        probe = self._make_prober(table, right_count)
-        size = ctx.batch_size
-        width = len(self.columns)
-
-        for batch in self.left.iterate_batches(ctx):
-            ctx.check_deadline()
-            out = probe(batch)
-            if out is None:
-                continue
-            if isinstance(out, Page):
-                if out.num_rows:
-                    yield from split_batches([out], size)
-            elif out:
-                yield from pages_from_rows(out, size, width)
-
-
-class MergeJoinExec(PhysicalOperator):
-    """Sort-merge equi-join (INNER only).
-
-    Materializes and sorts both inputs on the join keys, then merges,
-    expanding duplicate key groups pairwise. Rows with NULL keys never
-    match and are dropped up front. Exists as the classic alternative to
-    hash join; selected via ``PlannerOptions(join_algorithm="merge")``.
-    """
-
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        left_keys: Sequence[ast.Expr],
-        right_keys: Sequence[ast.Expr],
-        residual: Optional[ast.Expr],
-        columns: Sequence[RelColumn],
-    ) -> None:
-        super().__init__(columns)
-        self.left = left
-        self.right = right
-        left_layout = build_layout(left.columns)
-        right_layout = build_layout(right.columns)
-        self._left_key_fns = [compile_expression(k, left_layout) for k in left_keys]
-        self._right_key_fns = [compile_expression(k, right_layout) for k in right_keys]
-        combined = build_layout(list(left.columns) + list(right.columns))
-        self._residual = (
-            compile_predicate(residual, combined) if residual is not None else None
-        )
-
-    def children(self) -> List[PhysicalOperator]:
-        return [self.left, self.right]
-
-    def describe(self) -> str:
-        return "MergeJoin(INNER)"
-
-    def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        yield from chunk_rows(self._merge(ctx), ctx.batch_size)
-
-    def _merge(self, ctx: ExecutionContext) -> Iterator[Row]:
-        left_rows = self._keyed_sorted(self.left, self._left_key_fns, ctx)
-        right_rows = self._keyed_sorted(self.right, self._right_key_fns, ctx)
-        residual = self._residual
-        li = ri = 0
-        while li < len(left_rows) and ri < len(right_rows):
-            left_key = left_rows[li][0]
-            right_key = right_rows[ri][0]
-            if left_key < right_key:
-                li += 1
-            elif left_key > right_key:
-                ri += 1
-            else:
-                left_end = li
-                while left_end < len(left_rows) and left_rows[left_end][0] == left_key:
-                    left_end += 1
-                right_end = ri
-                while (
-                    right_end < len(right_rows)
-                    and right_rows[right_end][0] == right_key
-                ):
-                    right_end += 1
-                for _, left_row in left_rows[li:left_end]:
-                    for _, right_row in right_rows[ri:right_end]:
-                        row = left_row + right_row
-                        if residual is None or residual(row):
-                            yield row
-                li, ri = left_end, right_end
-
-    @staticmethod
-    def _keyed_sorted(child, key_fns, ctx):
-        keyed = []
-        for batch in child.iterate_batches(ctx):
-            ctx.check_deadline()
-            for row in batch:
-                key = tuple(fn(row) for fn in key_fns)
-                if any(part is None for part in key):
-                    continue  # NULL keys never equi-match
-                keyed.append((key, row))
-        keyed.sort(key=lambda pair: pair[0])
-        return keyed
-
-
-class NestedLoopJoinExec(PhysicalOperator):
-    """Fallback join for non-equi conditions (and EXISTS-style semis)."""
-
-    def __init__(
-        self,
-        left: PhysicalOperator,
-        right: PhysicalOperator,
-        kind: str,
-        condition: Optional[ast.Expr],
-        columns: Sequence[RelColumn],
-    ) -> None:
-        super().__init__(columns)
-        self.left = left
-        self.right = right
-        self.kind = kind
-        combined = build_layout(list(left.columns) + list(right.columns))
-        self._condition = (
-            compile_predicate(condition, combined) if condition is not None else None
-        )
-
-    def children(self) -> List[PhysicalOperator]:
-        return [self.left, self.right]
-
-    def describe(self) -> str:
-        return f"NestedLoopJoin({self.kind})"
-
-    def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        right_rows = _materialize_rows(self.right, ctx)
-        condition = self._condition
-        null_right = (None,) * len(self.right.columns)
-        kind = self.kind
-        size = ctx.batch_size
-        width = len(self.columns)
-        for batch in self.left.iterate_batches(ctx):
-            out: List[Row] = []
-            for left_row in batch:
-                if kind in ("SEMI", "ANTI"):
-                    if condition is None:
-                        matched = bool(right_rows)
-                    else:
-                        matched = any(
-                            condition(left_row + right_row)
-                            for right_row in right_rows
-                        )
-                    if (kind == "SEMI") == matched:
-                        out.append(left_row)
                     continue
-                matched = False
-                for right_row in right_rows:
-                    row = left_row + right_row
-                    if condition is None or condition(row):
-                        matched = True
-                        out.append(row)
-                if kind == "LEFT" and not matched:
-                    out.append(left_row + null_right)
-            if out:
-                yield from pages_from_rows(out, size, width)
+                if len(matches) == 1:
+                    add_left(index)
+                    add_right(matches[0])
+                else:
+                    left_positions += [index] * len(matches)
+                    right_positions += matches
+            return emit(page, left_positions, right_positions, keys)
+
+        every_right = list(range(right_rows))
+
+        def probe_keyless(page: Batch) -> Optional[Batch]:
+            if residual is None and kind in ("SEMI", "ANTI"):
+                return page if (right_rows > 0) == semi else None
+            left_positions = list(
+                chain.from_iterable(
+                    repeat(index, right_rows) for index in range(page.num_rows)
+                )
+            )
+            return emit(page, left_positions, every_right * page.num_rows, None)
+
+        probe = probe_keyed if kernels else probe_keyless
+        # A keyless probe pairs each left row with every right row, so it
+        # takes left slices of about one batch of pairs each.
+        step = max(size // right_rows, 1) if right_rows else size
+        for page in left_pages:
+            ctx.check_deadline()
+            for piece in (page,) if kernels else split_batches([page], step):
+                out = probe(piece)
+                if out is not None:
+                    yield from split_batches([out], size)
+
+
+def _pad_unmatched(
+    left_positions: List[int],
+    right_positions: List[int],
+    rows: int,
+    null_position: int,
+) -> Tuple[List[int], List[int]]:
+    """LEFT join pairs: every left position without a pair gets one pair
+    with ``null_position``, in left order (``left_positions`` ascends)."""
+    if len(set(left_positions)) == rows:
+        return left_positions, right_positions
+    padded_left: List[int] = []
+    padded_right: List[int] = []
+    cursor, total = 0, len(left_positions)
+    for index in range(rows):
+        start = cursor
+        while cursor < total and left_positions[cursor] == index:
+            cursor += 1
+        if cursor > start:
+            padded_left += left_positions[start:cursor]
+            padded_right += right_positions[start:cursor]
+        else:
+            padded_left.append(index)
+            padded_right.append(null_position)
+    return padded_left, padded_right
+
+
+def join_operator(
+    left: PhysicalOperator,
+    right: PhysicalOperator,
+    kind: str,
+    condition: Optional[ast.Expr],
+    columns: Sequence[RelColumn],
+    null_aware: bool = False,
+) -> HashJoinExec:
+    """The join of ``left`` and ``right`` on ``condition``: its equi keys
+    plus a residual, or no keys and the whole condition (CROSS joins and
+    conditions without an equi conjunct)."""
+    keys = None
+    if kind != "CROSS":
+        keys = equi_join_keys(condition, left.columns, right.columns)
+    if keys is None:
+        return HashJoinExec(
+            left, right, kind, [], [], condition, columns, null_aware
+        )
+    left_keys, right_keys, residual = keys
+    return HashJoinExec(
+        left,
+        right,
+        kind,
+        left_keys,
+        right_keys,
+        ast.conjoin(residual),
+        columns,
+        null_aware,
+    )
 
 
 class BindJoinExec(PhysicalOperator):
     """Semijoin-reduced join: ship probe keys, fetch only matching rows.
 
     ``bound_side`` says which input is the reduced remote fragment; the
-    other input is materialized first to produce the key list.
+    other input's pages are collected first to produce the key list, then
+    both sides' pages go to one :class:`HashJoinExec`, built at plan time.
     """
 
     def __init__(
@@ -1101,8 +1005,6 @@ class BindJoinExec(PhysicalOperator):
         self.page_rows = max(page_rows, 1)
         self.bound_side = bound_side
         self.kind = kind
-        self.condition = condition
-        self.null_aware = null_aware
         bind = remote.bind
         assert bind is not None
         self._bind = bind
@@ -1111,6 +1013,14 @@ class BindJoinExec(PhysicalOperator):
         )
         self._remote_sizer = make_batch_sizer(remote.columns)
         self._key_sizer = _column_sizer(bind.fragment_key.dtype)
+        # The join in the original operand orientation; the remote side is
+        # a schema-only placeholder, its pages arrive at run time.
+        remote_side = PhysicalOperator(remote.columns)
+        if bound_side == "right":
+            left, right = probe, remote_side
+        else:
+            left, right = remote_side, probe
+        self._join = join_operator(left, right, kind, condition, columns, null_aware)
 
     def children(self) -> List[PhysicalOperator]:
         return [self.probe]
@@ -1122,20 +1032,19 @@ class BindJoinExec(PhysicalOperator):
         )
 
     def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        probe_rows: List[Row] = []
+        probe_pages: List[Batch] = []
         keys: Set[Any] = set()
         key_kernel = self._probe_key_kernel
         for batch in self.probe.iterate_batches(ctx):
             ctx.check_deadline()
-            probe_rows.extend(batch)
-            for value in key_kernel(batch):
-                if value is not None:
-                    keys.add(value)
-        remote_rows: List[Row] = []
+            probe_pages.append(batch)
+            keys.update(key_kernel(batch))
+        keys.discard(None)
+        remote_pages: List[Batch] = []
         try:
             for page in self._fetch_reduced_pages(ctx, keys):
                 ctx.check_deadline(self.remote.source_name)
-                remote_rows.extend(page)
+                remote_pages.append(page)
         except SourceError as exc:
             # Graceful degradation mirrors ExchangeExec: the dead remote
             # side contributes no rows and the join proceeds (INNER drops
@@ -1143,35 +1052,11 @@ class BindJoinExec(PhysicalOperator):
             if ctx.options.on_source_failure != "partial":
                 raise
             ctx.record_exclusion(exc.source_name, exc)
-            remote_rows = []
-
-        # Assemble the join with the original operand orientation.
-        remote_stub = StaticRowsExec(remote_rows, self.remote.columns)
-        probe_stub = StaticRowsExec(probe_rows, self.probe.columns)
+            remote_pages = []
         if self.bound_side == "right":
-            left_op, right_op = probe_stub, remote_stub
-            left_cols, right_cols = self.probe.columns, self.remote.columns
+            yield from self._join.join_pages(ctx, probe_pages, remote_pages)
         else:
-            left_op, right_op = remote_stub, probe_stub
-            left_cols, right_cols = self.remote.columns, self.probe.columns
-        keys_split = equi_join_keys(self.condition, left_cols, right_cols)
-        if keys_split is not None:
-            left_keys, right_keys, residual = keys_split
-            join: PhysicalOperator = HashJoinExec(
-                left_op,
-                right_op,
-                self.kind,
-                left_keys,
-                right_keys,
-                ast.conjoin(residual),
-                self.columns,
-                self.null_aware,
-            )
-        else:
-            join = NestedLoopJoinExec(
-                left_op, right_op, self.kind, self.condition, self.columns
-            )
-        yield from join.iterate_batches(ctx)
+            yield from self._join.join_pages(ctx, remote_pages, probe_pages)
 
     def _batch_fragment(self, batch: Sequence[Any]) -> Fragment:
         """The reduced fragment fetching one key batch."""
@@ -1537,36 +1422,11 @@ class SetDifferenceExec(PhysicalOperator):
 # ---------------------------------------------------------------------------
 
 
-JOIN_ALGORITHMS = ("auto", "hash", "merge")
-
-
 class PhysicalPlanner:
-    """Turns an optimized logical plan into a physical operator tree.
+    """Turns an optimized logical plan into a physical operator tree."""
 
-    ``join_algorithm`` selects the equi-join implementation: ``auto``/
-    ``hash`` use hash joins; ``merge`` forces sort-merge for INNER
-    equi-joins (other kinds keep hash — merge variants of semi/outer joins
-    offer nothing here and hash handles their NULL subtleties already).
-    """
-
-    def __init__(
-        self,
-        catalog: Catalog,
-        join_algorithm: str = "auto",
-    ) -> None:
-        if join_algorithm not in JOIN_ALGORITHMS:
-            raise PlanError(f"unknown join algorithm {join_algorithm!r}")
+    def __init__(self, catalog: Catalog) -> None:
         self._catalog = catalog
-        self._join_algorithm = join_algorithm
-
-    @classmethod
-    def from_options(
-        cls, catalog: Catalog, options: "PlannerOptions"
-    ) -> "PhysicalPlanner":
-        """The physical planner a ``PlannerOptions`` selects — the one
-        construction site, shared by the planning (plan-cache miss) and
-        rebinding (plan-cache hit) paths so they cannot disagree."""
-        return cls(catalog, join_algorithm=options.join_algorithm)
 
     def build(self, plan: LogicalPlan) -> PhysicalOperator:
         if isinstance(plan, RemoteQueryOp):
@@ -1696,34 +1556,11 @@ class PhysicalPlanner:
                 columns=plan.output_columns,
                 null_aware=plan.null_aware,
             )
-        left = self.build(plan.left)
-        right = self.build(plan.right)
-        if plan.kind == "CROSS" or plan.condition is None:
-            return NestedLoopJoinExec(
-                left, right, plan.kind, plan.condition, plan.output_columns
-            )
-        keys = equi_join_keys(plan.condition, left.columns, right.columns)
-        if keys is None:
-            return NestedLoopJoinExec(
-                left, right, plan.kind, plan.condition, plan.output_columns
-            )
-        left_keys, right_keys, residual = keys
-        if self._join_algorithm == "merge" and plan.kind == "INNER":
-            return MergeJoinExec(
-                left,
-                right,
-                left_keys,
-                right_keys,
-                ast.conjoin(residual),
-                plan.output_columns,
-            )
-        return HashJoinExec(
-            left,
-            right,
+        return join_operator(
+            self.build(plan.left),
+            self.build(plan.right),
             plan.kind,
-            left_keys,
-            right_keys,
-            ast.conjoin(residual),
+            plan.condition,
             plan.output_columns,
             plan.null_aware,
         )

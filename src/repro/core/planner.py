@@ -26,7 +26,7 @@ from .cost import DEFAULT_CPU_ROW_MS, CostModel
 from .join_order import DEFAULT_DP_LIMIT, JOIN_STRATEGIES, JoinOrderer, OrderingStats
 from ..obs.trace import NULL_SPAN, NULL_TRACER
 from .logical import LogicalPlan, explain_plan
-from .physical import JOIN_ALGORITHMS, PhysicalOperator, PhysicalPlanner
+from .physical import PhysicalOperator, PhysicalPlanner
 from .pushdown import PUSHDOWN_LEVELS, PushdownPlanner
 from .rewriter import rewrite
 from .semijoin import SEMIJOIN_MODES, SemijoinDecision, SemijoinPlanner
@@ -133,7 +133,6 @@ class PlannerOptions:
 
     rewrites: bool = True
     join_strategy: str = "auto"
-    join_algorithm: str = "auto"
     pushdown: str = "full"
     semijoin: str = "auto"
     replicas: str = "cost"
@@ -167,8 +166,6 @@ class PlannerOptions:
     def __post_init__(self) -> None:
         if self.join_strategy not in JOIN_STRATEGIES:
             raise PlanError(f"unknown join strategy {self.join_strategy!r}")
-        if self.join_algorithm not in JOIN_ALGORITHMS:
-            raise PlanError(f"unknown join algorithm {self.join_algorithm!r}")
         if self.pushdown not in PUSHDOWN_LEVELS:
             raise PlanError(f"unknown pushdown level {self.pushdown!r}")
         if self.semijoin not in SEMIJOIN_MODES:
@@ -411,9 +408,7 @@ class Planner:
                 distributed = semijoin.apply(distributed)
 
             with tracer.child(plan_span, "physical", "phase"):
-                physical = PhysicalPlanner.from_options(
-                    self.catalog, opts
-                ).build(distributed)
+                physical = PhysicalPlanner(self.catalog).build(distributed)
 
         estimates = {}
         for node in distributed.walk():

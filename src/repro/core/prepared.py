@@ -416,7 +416,6 @@ class PreparedPlan:
         sql: str,
         values: Sequence[Any],
         catalog: Any,
-        options: Any,
     ) -> Optional[Any]:
         """A fresh ``PlannedQuery`` for ``values``, or None if not bindable."""
         from .physical import PhysicalPlanner
@@ -429,7 +428,7 @@ class PreparedPlan:
             distributed = self.planned.distributed
         else:
             distributed = rebind_plan(self.planned.distributed, values)
-        physical = PhysicalPlanner.from_options(catalog, options).build(distributed)
+        physical = PhysicalPlanner(catalog).build(distributed)
         planning_ms = (time.perf_counter() - started) * 1000.0
         self.executions += 1
         return PlannedQuery(

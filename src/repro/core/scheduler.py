@@ -433,7 +433,7 @@ def fetch_pages(
     span,
     seed: int,
     *,
-    sizer=None,
+    sizer,
     clock=time.monotonic,
     slot_for=None,
     cancelled=_never,
@@ -591,7 +591,7 @@ class _FragmentTask:
         adapter,
         fragment: Fragment,
         page_rows: int,
-        sizer=None,
+        sizer,
         hedge: bool = False,
         on_start=None,
     ):
@@ -691,7 +691,7 @@ class FragmentScheduler:
                 ctx.add_metric("fragments_executed", 1)
                 self._by_exchange[id(exchange)] = self.submit_fragment(
                     exchange.adapter, exchange.fragment, exchange.page_rows,
-                    ctx, sizer=getattr(exchange, "_sizer", None),
+                    ctx, sizer=exchange._sizer,
                 )
 
     def was_prestarted(self, exchange) -> bool:
@@ -707,13 +707,13 @@ class FragmentScheduler:
             ctx.add_metric("fragments_executed", 1)
             task = self.submit_fragment(
                 exchange.adapter, exchange.fragment, exchange.page_rows,
-                ctx, sizer=getattr(exchange, "_sizer", None),
+                ctx, sizer=exchange._sizer,
             )
             self._by_exchange[id(exchange)] = task
         return self.stream_pages(task, ctx)
 
     def submit_fragment(
-        self, adapter, fragment: Fragment, page_rows: int, ctx, sizer=None,
+        self, adapter, fragment: Fragment, page_rows: int, ctx, sizer,
         hedge: bool = False, on_start=None,
     ) -> _FragmentTask:
         """Submit one fragment's fetch; returns its task. A worker task
@@ -1099,8 +1099,7 @@ class FragmentScheduler:
             task.virtual_ms += elapsed_ms
             if task.hedge:
                 ctx.add_metric("hedges_rows_shipped", len(page))
-                if task.sizer is not None:
-                    ctx.add_metric("hedges_bytes_shipped", task.sizer(page))
+                ctx.add_metric("hedges_bytes_shipped", task.sizer(page))
 
         pages = fetch_pages(
             ctx, task.adapter, task.fragment, task.page_rows, span, task.index,

@@ -100,7 +100,7 @@ def test_engine_matches_reference(federation, sql):
                                           use_histograms=False)),
         ("semijoin-forced", PlannerOptions(semijoin="force")),
         ("no-rewrites", PlannerOptions(rewrites=False)),
-        ("merge-join", PlannerOptions(join_algorithm="merge")),
+        ("canonical-order", PlannerOptions(join_strategy="canonical")),
         ("no-partial-agg", PlannerOptions(partial_aggregation=False)),
     ],
 )

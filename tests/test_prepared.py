@@ -191,17 +191,15 @@ class TestPlanCache:
         assert gis.plan_cache.stats()["entries"] == 2
 
     def test_cache_hit_rebuilds_the_physical_plan_a_fresh_plan_would(self):
-        # Both paths build operators through PhysicalPlanner.from_options,
-        # so every plan-shaping option reaches the hit path too: the
-        # merge join and the Project-over-Filter chain print identically
+        # Both paths build operators through the same PhysicalPlanner, so
+        # the hash join and the Project-over-Filter chain print identically
         # on a miss, a hit and an uncached plan. The fetch degree shapes
         # no operator, so the exchange carries no label for it.
         from repro.obs.trace import NULL_SPAN, NULL_TRACER
 
         gis = make_cached_gis()
         options = PlannerOptions(
-            pushdown="scans-only", join_algorithm="merge",
-            max_parallel_fragments=4,
+            pushdown="scans-only", max_parallel_fragments=4,
         )
         sql = (
             "SELECT c.name, o.total * 2 FROM customers c "
@@ -218,7 +216,7 @@ class TestPlanCache:
             "      Filter",
             "        Exchange(source=erp)",
         ]
-        assert "MergeJoin(INNER)" in rebound.physical.explain()
+        assert "HashJoin(INNER)" in rebound.physical.explain()
 
     def test_disabled_cache_is_inert(self):
         gis = make_small_gis()

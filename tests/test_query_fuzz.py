@@ -124,15 +124,6 @@ def test_fuzzed_queries_match_reference(sql):
     assert_same_rows(engine.rows, reference)
 
 
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(select_query(), st.sampled_from(["merge", "hash"]))
-def test_fuzzed_queries_match_across_join_algorithms(sql, algorithm):
-    default = GIS.query(sql)
-    variant = GIS.query(sql, PlannerOptions(join_algorithm=algorithm))
-    assert_same_rows(default.rows, variant.rows)
-
-
 # -- batch-at-a-time vs row-at-a-time equivalence ---------------------------
 #
 # batch_size is purely an executor knob: for every fuzzed query the rows
