@@ -9,6 +9,8 @@ every query, with the largest factors on selective single-source queries
 and key-lookup joins.
 """
 
+import math
+
 import pytest
 
 from repro import NAIVE_OPTIONS, PlannerOptions
@@ -32,6 +34,22 @@ def federation():
     return build_federation(scale=8.0, seed=42)
 
 
+def assert_same_rows(actual, expected, name):
+    """Equal row multisets; FLOAT values to a relative 1e-9, because a
+    partial SUM pushed to a source adds in another order."""
+    def key(row):
+        return repr(tuple(round(v, 6) if isinstance(v, float) else v for v in row))
+
+    assert len(actual) == len(expected), name
+    for got, want in zip(sorted(actual, key=key), sorted(expected, key=key)):
+        assert len(got) == len(want), name
+        for a, b in zip(got, want):
+            if isinstance(a, float) or isinstance(b, float):
+                assert math.isclose(a, b, rel_tol=1e-9), (name, got, want)
+            else:
+                assert a == b, (name, got, want)
+
+
 def run(gis, sql, options):
     gis.network.reset()
     return gis.query(sql, options)
@@ -51,7 +69,7 @@ def test_t5_endtoend_workload(federation, benchmark):
     for name, sql in QUERIES:
         smart = run(gis, sql, smart_options)
         naive = run(gis, sql, NAIVE_OPTIONS)
-        assert sorted(map(repr, smart.rows)) == sorted(map(repr, naive.rows)), name
+        assert_same_rows(smart.rows, naive.rows, name)
         speedup = naive.metrics.simulated_ms / max(smart.metrics.simulated_ms, 1e-9)
         speedups.append(speedup)
         lines.append(

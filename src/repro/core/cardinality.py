@@ -248,6 +248,8 @@ class Estimator:
 
     def _comparison_selectivity(self, predicate: ast.BinaryOp, rows: float) -> float:
         column, literal, op = _column_vs_literal(predicate)
+        if column is not None and literal is None:
+            return 0.0  # a comparison with NULL is never TRUE
         if column is None:
             if op == "=":
                 # column = column (e.g. a residual join predicate)

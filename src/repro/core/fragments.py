@@ -275,18 +275,16 @@ def _interpret_semi_anti(
     condition_fn: Optional[Callable[[Tuple[Any, ...]], bool]],
 ) -> Iterator[Tuple[Any, ...]]:
     if plan.kind == "ANTI" and plan.null_aware and plan.condition is not None:
-        # NOT IN: any NULL key on the right kills everything; NULL probe
-        # keys never qualify.
-        keys = equi_join_keys(
-            plan.condition, plan.left.output_columns, right_columns
+        # NOT IN keeps a left row only if every comparison is FALSE: an
+        # unknown (NULL) one drops it like a TRUE one.
+        compare = compile_expression(
+            plan.condition,
+            build_layout(list(plan.left.output_columns) + list(right_columns)),
         )
-        if keys is not None:
-            _, right_key_exprs, _ = keys
-            right_layout = build_layout(right_columns)
-            key_fns = [compile_expression(e, right_layout) for e in right_key_exprs]
-            for right_row in right_rows:
-                if any(fn(right_row) is None for fn in key_fns):
-                    return
+        for left_row in left_rows:
+            if all(compare(left_row + right_row) is False for right_row in right_rows):
+                yield left_row
+        return
     for left_row in left_rows:
         matched = False
         if condition_fn is None:
@@ -296,28 +294,8 @@ def _interpret_semi_anti(
                 if condition_fn(left_row + right_row):
                     matched = True
                     break
-        if plan.kind == "SEMI" and matched:
+        if matched == (plan.kind == "SEMI"):
             yield left_row
-        elif plan.kind == "ANTI" and not matched:
-            if plan.null_aware and plan.condition is not None and _probe_is_null(
-                plan, left_row
-            ):
-                continue
-            yield left_row
-
-
-def _probe_is_null(plan: JoinOp, left_row: Tuple[Any, ...]) -> bool:
-    keys = equi_join_keys(
-        plan.condition, plan.left.output_columns, plan.right.output_columns
-    )
-    if keys is None:
-        return False
-    left_key_exprs, _, _ = keys
-    layout = build_layout(plan.left.output_columns)
-    return any(
-        compile_expression(expr, layout)(left_row) is None
-        for expr in left_key_exprs
-    )
 
 
 def apply_window(

@@ -123,7 +123,10 @@ class GlobalInformationSystem:
         """
         self.catalog = Catalog()
         self.network = network or SimulatedNetwork()
-        self.planner = Planner(self.catalog, self.network, options)
+        self.planner = Planner(
+            self.catalog, self.network, options,
+            eager_aggregation=fragment_cache_bytes <= 0,
+        )
         self.fragment_retries = fragment_retries
         self.breakers = CircuitBreakerRegistry()
         # Per-source latency quantiles / error rates feeding adaptive

@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress, repeat
-from operator import is_
+from operator import is_, is_not
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -815,6 +815,13 @@ class HashJoinExec(PhysicalOperator):
         semi = kind == "SEMI"
         # NULL NOT IN (non-empty set) is never TRUE: such rows are dropped.
         drop_null_keys = kind == "ANTI" and self.null_aware and right_rows > 0
+        # A keyless NOT IN keeps a left row only if every comparison is
+        # FALSE: an unknown (NULL) pair drops it like a TRUE one.
+        passes, verdict = (
+            (is_not, False)
+            if kind == "ANTI" and self.null_aware and not kernels
+            else (is_, True)
+        )
         get = table.get
         size = ctx.batch_size
 
@@ -829,7 +836,7 @@ class HashJoinExec(PhysicalOperator):
             """The output page for one page's candidate pairs, or None."""
             if residual is not None and left_positions:
                 candidates = gather(page, left_positions, right_positions)
-                passing = list(map(is_, residual(candidates), repeat(True)))
+                passing = list(map(passes, residual(candidates), repeat(verdict)))
                 if kind in ("INNER", "CROSS"):
                     count = passing.count(True)
                     if count == candidates.num_rows:

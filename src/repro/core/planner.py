@@ -26,6 +26,7 @@ from .cost import DEFAULT_CPU_ROW_MS, CostModel
 from .join_order import DEFAULT_DP_LIMIT, JOIN_STRATEGIES, JoinOrderer, OrderingStats
 from ..obs.trace import NULL_SPAN, NULL_TRACER
 from .logical import LogicalPlan, explain_plan
+from .partial_agg import push_eager_aggregation, push_partial_aggregation
 from .physical import PhysicalOperator, PhysicalPlanner
 from .pushdown import PUSHDOWN_LEVELS, PushdownPlanner
 from .rewriter import rewrite
@@ -64,7 +65,10 @@ class PlannerOptions:
         semijoin: ``auto`` (cost-gated) | ``off`` | ``force``.
         use_histograms: feed histograms to the estimator (T4 ablation).
         partial_aggregation: decompose aggregates over UNION ALL into
-            per-branch partial aggregates (local/global aggregation).
+            per-branch partial aggregates (local/global aggregation), and,
+            on a planner with ``eager_aggregation``, group one input at
+            its source below cross-source INNER joins when the cost gate
+            says the groups ship cheaper than the raw rows.
         dp_limit: region size above which DP falls back to greedy.
         cpu_row_ms: virtual CPU cost per mediator row (cost model unit).
         max_parallel_fragments: worker threads fetching independent
@@ -306,17 +310,26 @@ class PlannedQuery:
 
 
 class Planner:
-    """Plans statements against one catalog + network configuration."""
+    """Plans statements against one catalog + network configuration.
+
+    ``eager_aggregation`` lets ``partial_aggregation`` also group a join
+    input at its source below cross-source INNER joins (see
+    :mod:`repro.core.partial_agg`). A mediator with a fragment cache turns
+    it off for its lifetime: grouped fragments replay only on an exact
+    key, where raw ones are subsumed by every wider cached window.
+    """
 
     def __init__(
         self,
         catalog: Catalog,
         network: SimulatedNetwork,
         options: Optional[PlannerOptions] = None,
+        eager_aggregation: bool = True,
     ) -> None:
         self.catalog = catalog
         self.network = network
         self.options = options or PlannerOptions()
+        self.eager_aggregation = eager_aggregation
 
     def plan(
         self,
@@ -384,8 +397,6 @@ class Planner:
                     # Reordering moves predicates around; re-prune projections.
                     optimized = rewrite(optimized)
             if opts.partial_aggregation:
-                from .partial_agg import push_partial_aggregation
-
                 optimized = push_partial_aggregation(optimized)
             replica_decisions: List[str] = []
             if opts.replicas == "cost":
@@ -395,10 +406,12 @@ class Planner:
                 optimized = selector.apply(optimized)
                 replica_decisions = selector.decisions
 
-            with tracer.child(plan_span, "pushdown", "phase", level=opts.pushdown):
-                pushdown = PushdownPlanner(
-                    self.catalog, estimator, level=opts.pushdown
+            pushdown = PushdownPlanner(self.catalog, estimator, level=opts.pushdown)
+            if opts.partial_aggregation and self.eager_aggregation:
+                optimized = push_eager_aggregation(
+                    optimized, self.catalog, pushdown, cost_model
                 )
+            with tracer.child(plan_span, "pushdown", "phase", level=opts.pushdown):
                 distributed = pushdown.apply(optimized)
 
             with tracer.child(plan_span, "semijoin", "phase", mode=opts.semijoin):

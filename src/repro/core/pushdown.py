@@ -14,7 +14,7 @@ materializes the columns the plan already references.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..catalog.catalog import Catalog
 from ..sql import ast
@@ -52,17 +52,17 @@ class PushdownPlanner:
         self._catalog = catalog
         self._estimator = estimator
         self._level = level
-        self._location_cache: Dict[int, Optional[str]] = {}
+        #: id(node) -> (node, source); holding the node keeps its id unique.
+        self._location_cache: Dict[int, Tuple[LogicalPlan, Optional[str]]] = {}
 
     # -- public ---------------------------------------------------------------
 
     def apply(self, plan: LogicalPlan) -> LogicalPlan:
         """Replace maximal source-local subtrees with remote fragments."""
-        self._location_cache.clear()
         return self._apply(plan)
 
     def _apply(self, plan: LogicalPlan) -> LogicalPlan:
-        location = self._locate(plan)
+        location = self.locate(plan)
         if location is not None:
             return self._wrap(plan, location)
         children = plan.children()
@@ -82,13 +82,14 @@ class PushdownPlanner:
 
     # -- location inference -----------------------------------------------------
 
-    def _locate(self, plan: LogicalPlan) -> Optional[str]:
-        """The source able to run this whole subtree, or None."""
-        key = id(plan)
-        if key in self._location_cache:
-            return self._location_cache[key]
+    def locate(self, plan: LogicalPlan) -> Optional[str]:
+        """The source able to run this whole subtree, or None (memoised
+        per node for this planner's lifetime: one statement's planning)."""
+        entry = self._location_cache.get(id(plan))
+        if entry is not None:
+            return entry[1]
         location = self._locate_uncached(plan)
-        self._location_cache[key] = location
+        self._location_cache[id(plan)] = (plan, location)
         return location
 
     def _locate_uncached(self, plan: LogicalPlan) -> Optional[str]:
@@ -99,7 +100,7 @@ class PushdownPlanner:
         if isinstance(plan, FilterOp):
             return self._locate_filter(plan)
         if isinstance(plan, ProjectOp):
-            source = self._locate(plan.child)
+            source = self.locate(plan.child)
             if source is None:
                 return None
             caps = self._capabilities(source)
@@ -114,8 +115,8 @@ class PushdownPlanner:
         if isinstance(plan, JoinOp):
             if plan.kind not in ("INNER", "LEFT", "CROSS"):
                 return None  # SEMI/ANTI stay at the mediator
-            left = self._locate(plan.left)
-            right = self._locate(plan.right)
+            left = self.locate(plan.left)
+            right = self.locate(plan.right)
             if left is None or left != right:
                 return None
             caps = self._capabilities(left)
@@ -127,7 +128,7 @@ class PushdownPlanner:
                 return None
             return left
         if isinstance(plan, AggregateOp):
-            source = self._locate(plan.child)
+            source = self.locate(plan.child)
             if source is None:
                 return None
             caps = self._capabilities(source)
@@ -143,7 +144,7 @@ class PushdownPlanner:
                     return None
             return source
         if isinstance(plan, SortOp):
-            source = self._locate(plan.child)
+            source = self.locate(plan.child)
             if source is None:
                 return None
             caps = self._capabilities(source)
@@ -153,17 +154,17 @@ class PushdownPlanner:
                 return source
             return None
         if isinstance(plan, LimitOp):
-            source = self._locate(plan.child)
+            source = self.locate(plan.child)
             if source is None:
                 return None
             return source if self._capabilities(source).limit else None
         if isinstance(plan, DistinctOp):
-            source = self._locate(plan.child)
+            source = self.locate(plan.child)
             if source is None:
                 return None
             return source if self._capabilities(source).aggregation else None
         if isinstance(plan, UnionOp):
-            locations = {self._locate(child) for child in plan.inputs}
+            locations = {self.locate(child) for child in plan.inputs}
             if len(locations) != 1:
                 return None
             (source,) = locations
@@ -176,7 +177,7 @@ class PushdownPlanner:
         return None
 
     def _locate_filter(self, plan: FilterOp) -> Optional[str]:
-        source = self._locate(plan.child)
+        source = self.locate(plan.child)
         if source is None:
             return None
         caps = self._capabilities(source)

@@ -10,6 +10,8 @@ every batch size, with the last partial batch and empty results handled.
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Catalog, PlannerOptions, SimulatedNetwork
 from repro.core.expressions import (
@@ -153,6 +155,15 @@ class TestBatchKernels:
 # ---------------------------------------------------------------------------
 
 
+NUMERIC_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, 0.0, 1.0]),
+    st.integers(-(2**63), 2**63 - 1),
+    st.floats(allow_nan=False),
+)
+
+
 class TestBatchSizer:
     def test_matches_row_bytes_on_null_heavy_rows(self):
         import datetime
@@ -169,6 +180,17 @@ class TestBatchSizer:
         sizer = make_batch_sizer(cols)
         assert sizer(Page.from_rows(rows)) == sum(_row_bytes(row) for row in rows)
         assert sizer(Page.empty(len(cols))) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(NUMERIC_CELLS, NUMERIC_CELLS), min_size=1, max_size=40
+        )
+    )
+    def test_numeric_columns_match_row_bytes(self, rows):
+        # 1 == True and 0 == False: the sizer must count bools by type.
+        sizer = make_batch_sizer(columns(("i", INT), ("f", DataType.FLOAT)))
+        assert sizer(Page.from_rows(rows)) == sum(_row_bytes(row) for row in rows)
 
 
 # ---------------------------------------------------------------------------

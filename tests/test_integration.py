@@ -159,3 +159,42 @@ class TestPartitionedFederation:
         federation.gis.query("SELECT COUNT(*) FROM orders_all")
         network = federation.gis.network
         assert network.parallel_elapsed_ms() < network.total.simulated_ms
+
+
+NOT_IN_QUERIES = [
+    # keyless: the operand references no outer column
+    "SELECT name FROM customers WHERE 7 NOT IN "
+    "(SELECT CASE WHEN oid > 103 THEN NULL ELSE cust_id END FROM orders)",
+    "SELECT name FROM customers WHERE 7 NOT IN (SELECT cust_id FROM orders)",
+    "SELECT name FROM customers WHERE 1 NOT IN (SELECT cust_id FROM orders)",
+    # a NULL operand, against a non-empty and an empty subquery
+    "SELECT name FROM customers WHERE NULL NOT IN (SELECT cust_id FROM orders)",
+    "SELECT name FROM customers WHERE NULL NOT IN "
+    "(SELECT cust_id FROM orders WHERE oid > 1000)",
+    "SELECT name FROM customers WHERE 7 NOT IN "
+    "(SELECT cust_id FROM orders WHERE oid > 1000)",
+    # keyed: the same subqueries with the operand tied to a column
+    "SELECT name FROM customers WHERE id * 0 + 7 NOT IN "
+    "(SELECT CASE WHEN oid > 103 THEN NULL ELSE cust_id END FROM orders)",
+    "SELECT name FROM customers WHERE id NOT IN (SELECT cust_id FROM orders)",
+    "SELECT name FROM customers WHERE region NOT IN (SELECT status FROM orders)",
+]
+
+
+@pytest.mark.parametrize("sql", NOT_IN_QUERIES)
+def test_not_in_matches_sqlite3(sql):
+    """NOT IN keeps a row only if every comparison is FALSE, keyed or not;
+    stdlib sqlite3 shares no code with the engine or its reference."""
+    import sqlite3
+
+    from .conftest import CUSTOMERS, ORDERS, make_small_gis
+
+    oracle = sqlite3.connect(":memory:")
+    oracle.execute("CREATE TABLE customers (id, name, region, since, balance)")
+    oracle.execute("CREATE TABLE orders (oid, cust_id, total, odate, status)")
+    oracle.executemany("INSERT INTO customers VALUES (?, ?, ?, ?, ?)", CUSTOMERS)
+    oracle.executemany("INSERT INTO orders VALUES (?, ?, ?, ?, ?)", ORDERS)
+    expected = sorted(oracle.execute(sql).fetchall())
+    gis = make_small_gis()
+    assert sorted(gis.query(sql).rows) == expected
+    assert sorted(gis.reference_query(sql)[1]) == expected

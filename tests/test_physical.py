@@ -320,6 +320,20 @@ def reference_join(kind, left_rows, right_rows, keys, residual, null_aware):
         return lv is not None and rv is not None and residual(lv, rv)
 
     if kind == "ANTI" and null_aware:
+        if not keys:
+            # A keyless NOT IN keeps a left row only if every comparison
+            # is FALSE; an unknown (NULL) one drops it like a TRUE one.
+            def false(left_row, right_row):
+                lv, rv = left_row[2], right_row[2]
+                if residual is None or lv is None or rv is None:
+                    return False
+                return not residual(lv, rv)
+
+            return [
+                left_row
+                for left_row in left_rows
+                if all(false(left_row, right_row) for right_row in right_rows)
+            ]
         if any(has_null(row[:keys]) for row in right_rows):
             return []  # x NOT IN (..., NULL, ...) is never TRUE
     out = []
