@@ -9,14 +9,16 @@ kind of "component information system" a 1989 federation actually faced:
 no query language at all, just a file you can read. The wrapper:
 
 * parses log lines into rows on scan;
-* declares a small capability envelope (filters, no projection), reusing
-  the mediator's fragment interpreter for local evaluation;
+* declares a small capability envelope (filters, no projection) and runs
+  the fragments it accepts on the mediator's own operators, inside the
+  wrapper (``run_fragment``);
 * then joins the log against a CRM table living on another source.
 
 See docs/writing_adapters.md for the full contract.
 """
 
 import datetime
+from itertools import chain
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro import (
@@ -27,8 +29,10 @@ from repro import (
     SourceCapabilities,
 )
 from repro.catalog.schema import TableSchema, schema_from_pairs
-from repro.core.fragments import Fragment, interpret_plan
+from repro.core.fragments import Fragment
 from repro.core.logical import ScanOp
+from repro.core.pages import Page, paginate_rows
+from repro.core.physical import run_fragment
 
 LOG_LINES = """\
 1989-02-06 09:12:01 WARN  user=2 login failed
@@ -46,8 +50,8 @@ class LogFileSource(Adapter):
 
     The 'native system' can only hand over lines; the wrapper parses them
     and — because it controls a little local compute — also evaluates
-    simple predicates via the mediator's fragment interpreter, keeping
-    the noise off the network.
+    simple predicates with the mediator's own operators, keeping the
+    noise off the network.
     """
 
     SCHEMA = schema_from_pairs(
@@ -95,11 +99,16 @@ class LogFileSource(Adapter):
         return len(self._lines)
 
     def execute(self, fragment: Fragment) -> Iterator[Tuple[Any, ...]]:
-        def provide(scan: ScanOp) -> Iterator[Tuple[Any, ...]]:
-            assert scan.table.mapping is not None
-            return self.scan(scan.table.mapping.remote_table)
+        page_rows = self.capabilities().page_rows
 
-        return interpret_plan(fragment.plan, provide)
+        def scan_pages(scan: ScanOp) -> Iterator[Page]:
+            assert scan.table.mapping is not None
+            rows = self.scan(scan.table.mapping.remote_table)
+            return paginate_rows(rows, page_rows, len(scan.columns))
+
+        return chain.from_iterable(
+            run_fragment(fragment.plan, scan_pages, page_rows)
+        )
 
 
 def main() -> None:

@@ -1,4 +1,4 @@
-"""Aggregate accumulators shared by the executor and the fragment interpreter.
+"""Aggregate accumulators: the executor's aggregate and window state.
 
 Each :class:`~repro.core.logical.AggregateCall` maps to one accumulator
 instance per group. SQL semantics: aggregates ignore NULL inputs; SUM/AVG/
@@ -7,7 +7,7 @@ MIN/MAX over an empty (or all-NULL) group yield NULL, COUNT yields 0.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Sequence, Set
+from typing import Any, Sequence, Set
 
 from ..errors import ExecutionError
 from .logical import AggregateCall
@@ -208,34 +208,3 @@ def make_accumulator(call: AggregateCall) -> Accumulator:
         raise ExecutionError(f"unknown aggregate function: {call.function}")
     inner = factory()
     return _Distinct(inner) if call.distinct else inner
-
-
-def sort_key_function(ascending: bool) -> Callable[[Any], Any]:
-    """Key wrapper implementing NULLS LAST (ASC) / NULLS FIRST (DESC).
-
-    Groups NULLs via the first tuple element so the raw values of different
-    rows never compare against None.
-    """
-
-    def key(value: Any) -> Any:
-        return (value is None, 0 if value is None else value)
-
-    return key
-
-
-def sort_rows(
-    rows: List[tuple],
-    key_functions: List[Callable[[tuple], Any]],
-    directions: List[bool],
-) -> List[tuple]:
-    """Stable multi-key sort honoring per-key direction and NULL placement.
-
-    Applies single-key stable sorts from the least significant key to the
-    most significant — the classic way to get mixed ASC/DESC ordering out of
-    a stable sort.
-    """
-    result = list(rows)
-    for key_fn, ascending in reversed(list(zip(key_functions, directions))):
-        wrapper = sort_key_function(ascending)
-        result.sort(key=lambda row: wrapper(key_fn(row)), reverse=not ascending)
-    return result

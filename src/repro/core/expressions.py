@@ -1,15 +1,24 @@
-"""Expression type inference and compilation to Python closures.
+"""Expression type inference and compilation to vectorized kernels.
 
 Bound expressions (leaves are :class:`~repro.sql.ast.BoundRef` /
 :class:`~repro.sql.ast.Literal`) are compiled once per physical operator
-into nested closures over row tuples. NULL is represented by ``None`` and
-the compiled code implements SQL three-valued logic:
+into kernels over columnar :class:`~repro.core.pages.Page` objects: one
+tight loop per expression node over whole column vectors. This is the
+engine's one expression compiler; filters, projections, join keys,
+aggregate arguments, sort and window keys, the REST wrapper's filter and
+constant folding all run on it. NULL is represented by ``None`` and the
+kernels implement SQL three-valued logic:
 
 * comparisons and arithmetic propagate NULL;
 * ``AND`` / ``OR`` follow Kleene logic;
 * ``IN`` returns NULL (not FALSE) when no element matches but one is NULL;
 * division by zero yields NULL (SQLite-compatible; documented deviation
   from engines that raise).
+
+``AND``, ``OR``, ``CASE`` and ``IN`` lists are lazy per row, as SQL
+engines are: an operand, branch or list item runs only over the rows that
+still need it, so a guarded ``CAST`` never sees the rows its guard
+excludes.
 """
 
 from __future__ import annotations
@@ -17,7 +26,8 @@ from __future__ import annotations
 import operator
 import re
 from itertools import compress, repeat
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from operator import is_, is_not, not_
+from typing import Any, Callable, Dict, List, Sequence
 
 from ..datatypes import (
     DataType,
@@ -30,8 +40,6 @@ from ..errors import ExecutionError, TypeCheckError
 from ..sql import ast
 from ..sql.functions import is_aggregate_name, lookup_scalar
 from .pages import Page
-
-RowFunction = Callable[[Tuple[Any, ...]], Any]
 
 #: Batch kernel: page in, column vector out.
 VectorFunction = Callable[[Page], List[Any]]
@@ -194,26 +202,6 @@ def build_layout(columns: Sequence[Any]) -> Dict[int, int]:
     return {column.column_id: index for index, column in enumerate(columns)}
 
 
-def compile_expression(expr: ast.Expr, layout: Dict[int, int]) -> RowFunction:
-    """Compile a bound expression into ``fn(row) -> value``.
-
-    ``layout`` maps :attr:`RelColumn.column_id` to row positions; a reference
-    to a column missing from the layout is a physical-planning bug and raises
-    immediately (not at run time).
-    """
-    return _compile(expr, layout)
-
-
-def compile_predicate(expr: ast.Expr, layout: Dict[int, int]) -> RowFunction:
-    """Compile a predicate; NULL results collapse to False (WHERE semantics)."""
-    fn = _compile(expr, layout)
-
-    def predicate(row: Tuple[Any, ...]) -> bool:
-        return fn(row) is True
-
-    return predicate
-
-
 def compile_batch_expression(
     expr: ast.Expr, layout: Dict[int, int]
 ) -> VectorFunction:
@@ -234,15 +222,13 @@ def compile_batch_predicate(
 ) -> BatchPredicate:
     """Compile a predicate into ``fn(page) -> page of surviving rows``.
 
-    WHERE semantics: rows whose predicate evaluates to NULL are dropped,
-    exactly like :func:`compile_predicate` row by row. The kernel
-    computes a boolean mask column, normalizes it to strict ``is True``
-    selectors in one C pass, then slices every column with
-    ``itertools.compress`` — no index vector, no per-row gather calls.
-    A fully-passing page is returned as-is (zero copy).
+    WHERE semantics: rows whose predicate evaluates to NULL (or FALSE)
+    are dropped. The kernel computes a boolean mask column, normalizes it
+    to strict ``is True`` selectors in one C pass, then slices every
+    column with ``itertools.compress`` — no index vector, no per-row
+    gather calls. A fully-passing page is returned as-is (zero copy).
     """
     vector = _compile_vector(expr, layout)
-    is_ = operator.is_
 
     def select(page: Page) -> Page:
         mask = vector(page)
@@ -260,8 +246,9 @@ def compile_batch_predicate(
 
 
 def evaluate_constant(expr: ast.Expr) -> Any:
-    """Evaluate an expression with no column references (for constant folding)."""
-    return _compile(expr, {})(())
+    """Evaluate an expression with no column references (for constant
+    folding): its vector kernel over one zero-column, one-row page."""
+    return _compile_vector(expr, {})(Page([], 1))[0]
 
 
 def _layout_position(expr: "ast.BoundRef", layout: Dict[int, int]) -> int:
@@ -272,120 +259,6 @@ def _layout_position(expr: "ast.BoundRef", layout: Dict[int, int]) -> int:
             "is not available in this operator's input"
         )
     return position
-
-
-def _compile(expr: ast.Expr, layout: Dict[int, int]) -> RowFunction:
-    if isinstance(expr, ast.Literal):
-        value = expr.value
-        return lambda row: value
-    if isinstance(expr, ast.BoundRef):
-        position = _layout_position(expr, layout)
-        return lambda row: row[position]
-    if isinstance(expr, ast.BinaryOp):
-        return _compile_binary(expr, layout)
-    if isinstance(expr, ast.UnaryOp):
-        operand = _compile(expr.operand, layout)
-        if expr.op == "NOT":
-            def negate(row: Tuple[Any, ...]) -> Any:
-                value = operand(row)
-                return None if value is None else (not value)
-
-            return negate
-
-        def minus(row: Tuple[Any, ...]) -> Any:
-            value = operand(row)
-            return None if value is None else -value
-
-        return minus
-    if isinstance(expr, ast.FunctionCall):
-        return _compile_function(expr, layout)
-    if isinstance(expr, ast.Case):
-        return _compile_case(expr, layout)
-    if isinstance(expr, ast.Cast):
-        operand = _compile(expr.operand, layout)
-        target = expr.dtype
-
-        def cast(row: Tuple[Any, ...]) -> Any:
-            return cast_value(operand(row), target)
-
-        return cast
-    if isinstance(expr, ast.InList):
-        return _compile_in_list(expr, layout)
-    if isinstance(expr, ast.IsNull):
-        operand = _compile(expr.operand, layout)
-        if expr.negated:
-            return lambda row: operand(row) is not None
-        return lambda row: operand(row) is None
-    if isinstance(expr, ast.Between):
-        return _compile_between(expr, layout)
-    if isinstance(expr, (ast.InSubquery, ast.Exists)):
-        raise ExecutionError(
-            "subquery expressions must be decorrelated into joins before execution"
-        )
-    if isinstance(expr, ast.WindowFunction):
-        raise ExecutionError(
-            "window functions must be planned into a WindowOp before execution"
-        )
-    raise ExecutionError(f"cannot compile expression node {type(expr).__name__}")
-
-
-def _compile_binary(expr: ast.BinaryOp, layout: Dict[int, int]) -> RowFunction:
-    op = expr.op
-    if op == "AND":
-        left = _compile(expr.left, layout)
-        right = _compile(expr.right, layout)
-
-        def kleene_and(row: Tuple[Any, ...]) -> Any:
-            lhs = left(row)
-            if lhs is False:
-                return False
-            rhs = right(row)
-            if rhs is False:
-                return False
-            if lhs is None or rhs is None:
-                return None
-            return True
-
-        return kleene_and
-    if op == "OR":
-        left = _compile(expr.left, layout)
-        right = _compile(expr.right, layout)
-
-        def kleene_or(row: Tuple[Any, ...]) -> Any:
-            lhs = left(row)
-            if lhs is True:
-                return True
-            rhs = right(row)
-            if rhs is True:
-                return True
-            if lhs is None or rhs is None:
-                return None
-            return False
-
-        return kleene_or
-    left = _compile(expr.left, layout)
-    right = _compile(expr.right, layout)
-    if op == "LIKE":
-        return _compile_like(left, expr.right, right)
-    if op == "||":
-        def concat(row: Tuple[Any, ...]) -> Any:
-            lhs, rhs = left(row), right(row)
-            if lhs is None or rhs is None:
-                return None
-            return lhs + rhs
-
-        return concat
-    kernel = _BINARY_KERNELS.get(op)
-    if kernel is None:
-        raise ExecutionError(f"unknown binary operator {op!r}")
-
-    def apply(row: Tuple[Any, ...]) -> Any:
-        lhs, rhs = left(row), right(row)
-        if lhs is None or rhs is None:
-            return None
-        return kernel(lhs, rhs)
-
-    return apply
 
 
 def _div(a: Any, b: Any) -> Any:
@@ -402,31 +275,17 @@ def _mod(a: Any, b: Any) -> Any:
     return a - b * int(a / b)
 
 
-_BINARY_KERNELS: Dict[str, Callable[[Any, Any], Any]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": _div,
-    "%": _mod,
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-# The vectorized path calls its kernel once per value inside a tight list
-# comprehension, so each call's frame overhead is the dominant cost; the
-# C-implemented ``operator`` functions halve it versus Python lambdas.
-# ``/`` and ``%`` keep the Python kernels for NULL-on-zero semantics, and
-# ``||`` maps to ``operator.add`` (NULL operands are screened before the
-# kernel runs in both engines).
+# The vector kernels run once per value inside a tight list comprehension,
+# so each call's frame overhead is the dominant cost; the C-implemented
+# ``operator`` functions halve it versus Python lambdas. ``/`` and ``%``
+# are Python kernels for NULL-on-zero semantics, and ``||`` maps to
+# ``operator.add`` (NULL operands are screened before the kernel runs).
 _VECTOR_KERNELS: Dict[str, Callable[[Any, Any], Any]] = {
-    **_BINARY_KERNELS,
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
+    "/": _div,
+    "%": _mod,
     "=": operator.eq,
     "<>": operator.ne,
     "<": operator.lt,
@@ -462,152 +321,6 @@ def like_pattern_to_regex(pattern: str) -> "re.Pattern[str]":
     return compiled
 
 
-def _compile_like(
-    left: RowFunction, pattern_expr: ast.Expr, right: RowFunction
-) -> RowFunction:
-    if isinstance(pattern_expr, ast.Literal) and isinstance(pattern_expr.value, str):
-        regex = like_pattern_to_regex(pattern_expr.value)
-
-        def like_constant(row: Tuple[Any, ...]) -> Any:
-            value = left(row)
-            if value is None:
-                return None
-            return regex.match(value) is not None
-
-        return like_constant
-
-    def like_dynamic(row: Tuple[Any, ...]) -> Any:
-        value, pattern = left(row), right(row)
-        if value is None or pattern is None:
-            return None
-        return like_pattern_to_regex(pattern).match(value) is not None
-
-    return like_dynamic
-
-
-def _compile_function(expr: ast.FunctionCall, layout: Dict[int, int]) -> RowFunction:
-    if is_aggregate_name(expr.name):
-        raise ExecutionError(
-            f"aggregate {expr.name} reached the scalar compiler; "
-            "the analyzer must rewrite aggregates into aggregate columns"
-        )
-    function = lookup_scalar(expr.name)
-    arg_fns = [_compile(arg, layout) for arg in expr.args]
-    implementation = function.implementation
-    if function.null_propagating:
-        def call(row: Tuple[Any, ...]) -> Any:
-            args = [fn(row) for fn in arg_fns]
-            if any(arg is None for arg in args):
-                return None
-            return implementation(*args)
-
-        return call
-
-    def call_null_aware(row: Tuple[Any, ...]) -> Any:
-        return implementation(*(fn(row) for fn in arg_fns))
-
-    return call_null_aware
-
-
-def _compile_case(expr: ast.Case, layout: Dict[int, int]) -> RowFunction:
-    whens = [
-        (_compile(when, layout), _compile(then, layout)) for when, then in expr.whens
-    ]
-    else_fn = (
-        _compile(expr.else_result, layout) if expr.else_result is not None else None
-    )
-    if expr.operand is not None:
-        operand = _compile(expr.operand, layout)
-
-        def simple_case(row: Tuple[Any, ...]) -> Any:
-            value = operand(row)
-            for when_fn, then_fn in whens:
-                candidate = when_fn(row)
-                if value is not None and candidate is not None and value == candidate:
-                    return then_fn(row)
-            return else_fn(row) if else_fn is not None else None
-
-        return simple_case
-
-    def searched_case(row: Tuple[Any, ...]) -> Any:
-        for when_fn, then_fn in whens:
-            if when_fn(row) is True:
-                return then_fn(row)
-        return else_fn(row) if else_fn is not None else None
-
-    return searched_case
-
-
-def _compile_in_list(expr: ast.InList, layout: Dict[int, int]) -> RowFunction:
-    operand = _compile(expr.operand, layout)
-    all_literals = all(isinstance(item, ast.Literal) for item in expr.items)
-    negated = expr.negated
-    if all_literals:
-        values = [item.value for item in expr.items]  # type: ignore[union-attr]
-        has_null = any(value is None for value in values)
-        try:
-            lookup = frozenset(v for v in values if v is not None)
-        except TypeError:  # unhashable? fall back to list scan
-            lookup = None  # type: ignore[assignment]
-
-        def in_constant_3vl(row: Tuple[Any, ...]) -> Any:
-            value = operand(row)
-            if value is None:
-                return None
-            if lookup is not None:
-                found = value in lookup
-            else:
-                found = any(value == v for v in values if v is not None)
-            if found:
-                result: Any = True
-            elif has_null:
-                result = None
-            else:
-                result = False
-            if result is None:
-                return None
-            return (not result) if negated else result
-
-        return in_constant_3vl
-
-    item_fns = [_compile(item, layout) for item in expr.items]
-
-    def in_dynamic(row: Tuple[Any, ...]) -> Any:
-        value = operand(row)
-        if value is None:
-            return None
-        saw_null = False
-        for fn in item_fns:
-            candidate = fn(row)
-            if candidate is None:
-                saw_null = True
-            elif candidate == value:
-                return False if negated else True
-        if saw_null:
-            return None
-        return True if negated else False
-
-    return in_dynamic
-
-
-def _compile_between(expr: ast.Between, layout: Dict[int, int]) -> RowFunction:
-    operand = _compile(expr.operand, layout)
-    low = _compile(expr.low, layout)
-    high = _compile(expr.high, layout)
-    negated = expr.negated
-
-    def between(row: Tuple[Any, ...]) -> Any:
-        value = operand(row)
-        low_value = low(row)
-        high_value = high(row)
-        if value is None or low_value is None or high_value is None:
-            return None
-        result = low_value <= value <= high_value
-        return (not result) if negated else result
-
-    return between
-
-
 def cast_value(value: Any, dtype: DataType) -> Any:
     """SQL CAST semantics (NULL passes through; FLOAT→INTEGER truncates)."""
     if value is None:
@@ -624,12 +337,14 @@ def cast_value(value: Any, dtype: DataType) -> Any:
 # Vectorized compilation: page in, column vector out
 # ---------------------------------------------------------------------------
 #
-# The vector compiler mirrors _compile node for node, but each node emits a
-# kernel over column vectors. NULL handling is identical (None in-band).
-# One observable difference is evaluation *strategy*, never results:
-# AND/OR/CASE evaluate eagerly per column instead of short-circuiting per
-# row. All expression evaluation is pure and total (division by zero is
-# NULL, not an error), so eager evaluation cannot change a result.
+# Each node emits a kernel over column vectors, with NULL in-band. Kernels
+# are not total: CAST raises on a value it cannot convert. So the
+# conditional nodes evaluate lazily, gathering the rows that still need an
+# operand (``Page.take``) and scattering its results back: AND/OR run the
+# right operand only where the left leaves the row undecided, CASE runs
+# each WHEN only over the rows no earlier WHEN matched, each THEN only over
+# the rows its WHEN selected and the ELSE only over the rows left over, and
+# an IN list runs each item only over the rows no earlier item matched.
 
 
 def _compile_vector(expr: ast.Expr, layout: Dict[int, int]) -> VectorFunction:
@@ -667,40 +382,21 @@ def _compile_vector(expr: ast.Expr, layout: Dict[int, int]) -> VectorFunction:
         return lambda page: [value is None for value in operand(page)]
     if isinstance(expr, ast.Between):
         return _vector_between(expr, layout)
-    # Unsupported nodes (subqueries, window functions, unknown): delegate to
-    # the row compiler so they raise the same compile-time error.
-    fn = _compile(expr, layout)
-    return lambda page: [fn(row) for row in page]
+    if isinstance(expr, (ast.InSubquery, ast.Exists)):
+        raise ExecutionError(
+            "subquery expressions must be decorrelated into joins before execution"
+        )
+    if isinstance(expr, ast.WindowFunction):
+        raise ExecutionError(
+            "window functions must be planned into a WindowOp before execution"
+        )
+    raise ExecutionError(f"cannot compile expression node {type(expr).__name__}")
 
 
 def _vector_binary(expr: ast.BinaryOp, layout: Dict[int, int]) -> VectorFunction:
     op = expr.op
-    if op == "AND":
-        left = _compile_vector(expr.left, layout)
-        right = _compile_vector(expr.right, layout)
-
-        def kleene_and(page: Page) -> List[Any]:
-            return [
-                False
-                if (lhs is False or rhs is False)
-                else (None if (lhs is None or rhs is None) else True)
-                for lhs, rhs in zip(left(page), right(page))
-            ]
-
-        return kleene_and
-    if op == "OR":
-        left = _compile_vector(expr.left, layout)
-        right = _compile_vector(expr.right, layout)
-
-        def kleene_or(page: Page) -> List[Any]:
-            return [
-                True
-                if (lhs is True or rhs is True)
-                else (None if (lhs is None or rhs is None) else False)
-                for lhs, rhs in zip(left(page), right(page))
-            ]
-
-        return kleene_or
+    if op in ("AND", "OR"):
+        return _vector_kleene(expr, layout)
     if op == "LIKE":
         return _vector_like(expr, layout)
     kernel = _VECTOR_KERNELS.get(op)
@@ -733,6 +429,44 @@ def _vector_binary(expr: ast.BinaryOp, layout: Dict[int, int]) -> VectorFunction
         None if (lhs is None or rhs is None) else kernel(lhs, rhs)
         for lhs, rhs in zip(left(page), right(page))
     ]
+
+
+def _scatter(out: List[Any], positions: Sequence[int], values: List[Any]) -> None:
+    """Write ``values`` into ``out`` at ``positions``, pairwise."""
+    for position, value in zip(positions, values):
+        out[position] = value
+
+
+def _vector_kleene(expr: ast.BinaryOp, layout: Dict[int, int]) -> VectorFunction:
+    """Kleene AND/OR; the right operand runs only over undecided rows."""
+    left = _compile_vector(expr.left, layout)
+    right = _compile_vector(expr.right, layout)
+    # The left value that decides a row on its own: FALSE for AND, TRUE
+    # for OR. A row where neither side decides is NULL if either side is
+    # NULL, else the other truth value.
+    decisive = expr.op == "OR"
+    other = not decisive
+
+    def kleene(page: Page) -> List[Any]:
+        lhs = left(page)
+        undecided = list(
+            compress(range(page.num_rows), map(is_not, lhs, repeat(decisive)))
+        )
+        every_row = len(undecided) == page.num_rows
+        rhs_column = right(page if every_row else page.take(undecided))
+        values = [
+            decisive
+            if rhs is decisive
+            else (None if (lhs[index] is None or rhs is None) else other)
+            for index, rhs in zip(undecided, rhs_column)
+        ]
+        if every_row:
+            return values
+        out = [decisive] * page.num_rows
+        _scatter(out, undecided, values)
+        return out
+
+    return kleene
 
 
 def _vector_like(expr: ast.BinaryOp, layout: Dict[int, int]) -> VectorFunction:
@@ -809,38 +543,48 @@ def _vector_case(expr: ast.Case, layout: Dict[int, int]) -> VectorFunction:
     )
 
     def case(page: Page) -> List[Any]:
-        # Start from the ELSE column (copied: it may alias a page column),
-        # then resolve each WHEN in order over the still-unmatched rows.
-        out = (
-            list(else_vector(page))
-            if else_vector is not None
-            else [None] * page.num_rows
-        )
+        out: List[Any] = [None] * page.num_rows
+        # The rows no WHEN has matched yet, and their positions in ``page``
+        # (None while that is every row, in order).
+        rows = page
+        positions: Any = None
         operand_col = operand_vector(page) if operand_vector is not None else None
-        unmatched = list(range(page.num_rows))
         for when_vector, then_vector in whens:
-            if not unmatched:
+            if not rows.num_rows:
                 break
-            condition = when_vector(page)
-            then_col: List[Any] = []
-            still_unmatched: List[int] = []
-            for index in unmatched:
-                if operand_col is not None:
-                    value, candidate = operand_col[index], condition[index]
-                    matched = (
-                        value is not None
-                        and candidate is not None
-                        and value == candidate
-                    )
-                else:
-                    matched = condition[index] is True
-                if matched:
-                    if not then_col:
-                        then_col = then_vector(page)
-                    out[index] = then_col[index]
-                else:
-                    still_unmatched.append(index)
-            unmatched = still_unmatched
+            condition = when_vector(rows)
+            if operand_col is None:
+                matched = list(map(is_, condition, repeat(True)))
+            else:
+                matched = [
+                    value is not None and candidate is not None and value == candidate
+                    for value, candidate in zip(operand_col, condition)
+                ]
+            hits = list(compress(range(rows.num_rows), matched))
+            if not hits:
+                continue
+            if len(hits) == rows.num_rows:
+                if positions is None:
+                    return then_vector(rows)
+                _scatter(out, positions, then_vector(rows))
+                return out
+            then_col = then_vector(rows.take(hits))
+            _scatter(
+                out,
+                hits if positions is None else [positions[i] for i in hits],
+                then_col,
+            )
+            misses = list(compress(range(rows.num_rows), map(not_, matched)))
+            positions = (
+                misses if positions is None else [positions[i] for i in misses]
+            )
+            rows = rows.take(misses)
+            if operand_col is not None:
+                operand_col = [operand_col[i] for i in misses]
+        if else_vector is not None and rows.num_rows:
+            if positions is None:
+                return else_vector(page)
+            _scatter(out, positions, else_vector(rows))
         return out
 
     return case
@@ -881,26 +625,29 @@ def _vector_in_list(expr: ast.InList, layout: Dict[int, int]) -> VectorFunction:
 
     def in_dynamic(page: Page) -> List[Any]:
         operand_col = operand(page)
-        item_cols = [vector(page) for vector in item_vectors]
-        out: List[Any] = []
-        for index, value in enumerate(operand_col):
-            if value is None:
-                out.append(None)
-                continue
-            saw_null = found = False
-            for column in item_cols:
-                candidate = column[index]
+        out: List[Any] = [None] * page.num_rows
+        saw_null = [False] * page.num_rows
+        # Each item runs only over the rows still open: a non-NULL operand
+        # that no earlier item matched.
+        open_rows = [i for i, value in enumerate(operand_col) if value is not None]
+        for vector in item_vectors:
+            if not open_rows:
+                break
+            candidates = vector(
+                page if len(open_rows) == page.num_rows else page.take(open_rows)
+            )
+            still_open: List[int] = []
+            for index, candidate in zip(open_rows, candidates):
                 if candidate is None:
-                    saw_null = True
-                elif candidate == value:
-                    found = True
-                    break
-            if found:
-                out.append(False if negated else True)
-            elif saw_null:
-                out.append(None)
-            else:
-                out.append(True if negated else False)
+                    saw_null[index] = True
+                    still_open.append(index)
+                elif candidate == operand_col[index]:
+                    out[index] = not negated
+                else:
+                    still_open.append(index)
+            open_rows = still_open
+        for index in open_rows:
+            out[index] = None if saw_null[index] else negated
         return out
 
     return in_dynamic

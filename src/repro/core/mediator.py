@@ -34,7 +34,6 @@ from ..sources.faults import FaultInjector, FaultPlan
 from ..sources.network import NetworkLink, SimulatedNetwork
 from ..sql.parser import UtilityStatement, parse_select, parse_utility
 from .analyzer import Analyzer
-from .fragments import interpret_plan
 from .health import SourceHealthRegistry
 from .logical import MaterializedRowsOp, ScanOp
 from .physical import (
@@ -748,14 +747,21 @@ class GlobalInformationSystem:
         )
 
     def _execute_query(
-        self, sql: str, options: Optional[PlannerOptions], plan_fn
+        self,
+        sql: str,
+        options: Optional[PlannerOptions],
+        plan_fn,
+        profiles: Optional[Dict[int, OperatorProfile]] = None,
     ) -> QueryResult:
         """Plan (via ``plan_fn``) and execute one query with full tracing,
         metrics, and failure accounting — the one execute path, shared by
         :meth:`query`, prepared statements, materialized-view refresh and
         :meth:`explain_analyze`.
 
-        ``plan_fn(tracer, root)`` returns ``(planned, plan_cache_hit)``."""
+        ``plan_fn(tracer, root)`` returns ``(planned, plan_cache_hit)``.
+        The operators are profiled once when the tracer is live (for their
+        spans) or when ``profiles`` is given; the profiles are then also
+        written into ``profiles``."""
         obs = self.obs
         tracer = obs.tracer
         opts = options or self.planner.options
@@ -775,9 +781,12 @@ class GlobalInformationSystem:
             context.tracer = tracer
             exec_span = tracer.child(root, "phase:execute", "phase")
             context.trace_span = exec_span
-            if exec_span:
-                profile_operators(planned.physical, tracer=tracer,
-                                  parent=exec_span)
+            if exec_span or profiles is not None:
+                profiled = profile_operators(
+                    planned.physical, tracer=tracer, parent=exec_span
+                )
+                if profiles is not None:
+                    profiles.update(profiled)
             try:
                 rows = self._execute(planned, context)
             finally:
@@ -956,15 +965,14 @@ class GlobalInformationSystem:
         profiles: Dict[int, OperatorProfile] = {}
 
         def plan_fn(tracer, root):
-            nonlocal physical, profiles
+            nonlocal physical
             root.set_attribute("analyze", True)
             # Never the plan cache: the report must not depend on its state.
             planned = self.planner.plan(sql, options, tracer=tracer, parent=root)
             physical = planned.physical
-            profiles = profile_operators(physical)
             return planned, False
 
-        result = self._execute_query(sql, options, plan_fn)
+        result = self._execute_query(sql, options, plan_fn, profiles)
         assert physical is not None
         sections = [
             "== physical plan (actual rows) ==",
@@ -1014,21 +1022,6 @@ class GlobalInformationSystem:
                     continue
                 lines.append(f"[{node.source_name}] {sql}")
         return lines
-
-    def reference_query(self, sql: str) -> Tuple[List[str], List[Tuple[Any, ...]]]:
-        """Evaluate with the unoptimized reference interpreter.
-
-        Bypasses the whole optimizer and executes the bound plan directly
-        against full table scans — the differential-testing oracle.
-        """
-        statement = parse_select(sql)
-        bound = Analyzer(self.catalog).bind_statement(statement)
-
-        def provide(scan: ScanOp) -> Iterator[Tuple[Any, ...]]:
-            return self._scan_global(scan.table)
-
-        names = [column.name for column in bound.output_columns]
-        return names, list(interpret_plan(bound, provide))
 
     # -- helpers ---------------------------------------------------------------
 

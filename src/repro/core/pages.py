@@ -44,9 +44,9 @@ __all__ = [
     "Column",
     "Page",
     "Row",
-    "chunk_rows",
     "pages_from_rows",
     "paginate_rows",
+    "repage",
     "split_batches",
 ]
 
@@ -152,24 +152,6 @@ class Page:
 # ---------------------------------------------------------------------------
 
 
-def chunk_rows(rows: Iterable[Row], size: int) -> Iterator[Page]:
-    """Chunk a row *stream* into non-empty pages of at most ``size`` rows.
-
-    Dataflow chunker for operators whose algorithm emits rows one at a
-    time (sort, window). Never yields an empty page (an empty
-    stream yields nothing) — empty pages are an adapter wire-protocol
-    artifact, not a dataflow one.
-    """
-    buffer: List[Row] = []
-    for row in rows:
-        buffer.append(row)
-        if len(buffer) >= size:
-            yield Page.from_rows(buffer)
-            buffer = []
-    if buffer:
-        yield Page.from_rows(buffer)
-
-
 def pages_from_rows(
     rows: Sequence[Row], size: int, width: Optional[int] = None
 ) -> Iterator[Page]:
@@ -215,3 +197,34 @@ def paginate_rows(rows: Iterable[Row], page_rows: int, width: int) -> Iterator[P
             yield Page.from_rows(buffer, width)
             buffer = []
     yield Page.from_rows(buffer, width)
+
+
+def repage(pages: Iterable[Page], page_rows: int, width: int) -> Iterator[Page]:
+    """Re-cut a page stream to the adapter page contract.
+
+    The page-stream twin of :func:`paginate_rows`: zero or more full pages
+    of exactly ``page_rows`` rows, then exactly one final partial —
+    possibly empty — page. A page that arrives full while nothing is
+    buffered passes through as is (zero copy); everything else is
+    gathered column by column.
+    """
+    if page_rows < 1:
+        raise ValueError("page_rows must be >= 1")
+    buffer: List[Column] = [[] for _ in range(width)]
+    buffered = 0
+    for page in pages:
+        if not buffered and page.num_rows == page_rows:
+            yield page
+            continue
+        start = 0
+        while start < page.num_rows:
+            take = min(page_rows - buffered, page.num_rows - start)
+            for column, values in zip(buffer, page.columns):
+                column.extend(values[start : start + take])
+            buffered += take
+            start += take
+            if buffered == page_rows:
+                yield Page(buffer, buffered)
+                buffer = [[] for _ in range(width)]
+                buffered = 0
+    yield Page(buffer, buffered)

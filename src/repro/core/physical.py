@@ -7,7 +7,11 @@ The physical planner maps each logical node onto an operator implementation:
   bind spec is attached — a :class:`BindJoinExec` at the consuming join;
 * every join → :class:`HashJoinExec` (right side builds, left probes), on
   equi keys or, for the nested loop, on none;
-* aggregation → :class:`HashAggregateExec`; sorts are full in-memory sorts.
+* aggregation → :class:`HashAggregateExec`; sorts and windows
+  concatenate their input into one page and order row positions by key
+  columns computed with the same batch kernels;
+* in a fragment run inside its source (:func:`run_fragment`), a
+  ``ScanOp`` → :class:`ScanPagesExec` over the source's own pages.
 
 Operators pull **columnar pages** (:class:`~repro.core.pages.Page`: one
 Python list per column plus a row count, up to
@@ -37,6 +41,7 @@ from operator import is_, is_not
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -54,21 +59,16 @@ from ..errors import PlanError, QueryTimeoutError, SourceError
 from ..obs.trace import NULL_SPAN, NULL_TRACER
 from ..sql import ast
 from ..sources.network import EXACT_UNIT, SimulatedNetwork, exact_units
-from .aggregates import make_accumulator, sort_rows
+from .aggregates import make_accumulator
 from .expressions import (
     build_layout,
     compile_batch_expression,
     compile_batch_predicate,
-    compile_expression,
 )
 from .fragments import Fragment, equi_join_keys
-from .pages import (
-    Page,
-    chunk_rows,
-    pages_from_rows,
-    split_batches,
-)
+from .pages import Page, pages_from_rows, repage, split_batches
 from .logical import (
+    AggregateCall,
     AggregateOp,
     DistinctOp,
     FilterOp,
@@ -84,6 +84,7 @@ from .logical import (
     UnionOp,
     ValuesOp,
     WindowOp,
+    WindowSpec,
 )
 from .scheduler import FragmentScheduler
 
@@ -424,18 +425,40 @@ def make_batch_sizer(columns: Sequence[RelColumn]):
     return batch_bytes
 
 
-# The batching helpers (chunk_rows, split_batches, pages_from_rows) live in
-# repro.core.pages and are re-exported here for compatibility.
-
-
-def _materialize_rows(child: "PhysicalOperator", ctx: "ExecutionContext") -> List[Row]:
-    """Drain a child operator to a row list, one deadline check per batch
-    (the cancellation point for blocking materializations)."""
-    rows: List[Row] = []
-    for batch in child.iterate_batches(ctx):
+def concat_pages(
+    ctx: "ExecutionContext", pages: Iterable[Batch], width: int
+) -> Batch:
+    """Drain a page stream into one page, one deadline check per page (the
+    cancellation point of the blocking operators: join build, sort,
+    window)."""
+    columns: List[List[Any]] = [[] for _ in range(width)]
+    rows = 0
+    for page in pages:
         ctx.check_deadline()
-        rows.extend(batch)
-    return rows
+        for column, values in zip(columns, page.columns):
+            column.extend(values)
+        rows += page.num_rows
+    return Page(columns, rows)
+
+
+def sort_positions(
+    positions: List[int], key_columns: Sequence[List[Any]], directions: Sequence[bool]
+) -> List[int]:
+    """Sort row positions in place by key columns, and return them.
+
+    One stable pass per key, least significant first, so mixed ASC/DESC
+    keys compose; NULLs sort last ascending and first descending. A key
+    column without NULLs sorts on its raw values; one with NULLs on
+    ``(is NULL, value)`` pairs, so raw values never meet ``None``.
+    """
+    for column, ascending in reversed(list(zip(key_columns, directions))):
+        keys = (
+            [(value is None, 0 if value is None else value) for value in column]
+            if None in column
+            else column
+        )
+        positions.sort(key=keys.__getitem__, reverse=not ascending)
+    return positions
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +597,24 @@ class StaticRowsExec(PhysicalOperator):
         return f"StaticRows({len(self._rows)})"
 
 
+#: A fragment's scan leaves, inside its source: fn(scan) -> the pages of
+#: the scanned table, in the scan's column order.
+ScanPages = Callable[[ScanOp], Iterable[Page]]
+
+
+class ScanPagesExec(PhysicalOperator):
+    """A scan leaf of a fragment run inside its source (:func:`run_fragment`):
+    the source's own pages of the table, split to the batch size."""
+
+    def __init__(self, scan: ScanOp, scan_pages: ScanPages) -> None:
+        super().__init__(scan.columns)
+        self.scan = scan
+        self._scan_pages = scan_pages
+
+    def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
+        return split_batches(self._scan_pages(self.scan), ctx.batch_size)
+
+
 class ExchangeExec(PhysicalOperator):
     """Fetch a fragment's result from its source over the simulated network.
 
@@ -692,10 +733,11 @@ class HashJoinExec(PhysicalOperator):
     equi keys or on none, plus an optional residual predicate, page at a
     time and column-wise throughout:
 
-    * **Build.** The right pages' column vectors are concatenated, and
-      each non-NULL key maps to the list of its row positions in build
-      order. A single key uses the key kernel's output vector directly
-      (scalar dict keys); compound keys transpose with one ``zip(*…)``.
+    * **Build.** The right pages are concatenated into one page
+      (:func:`concat_pages`), and each non-NULL key maps to the list of
+      its row positions in build order. A single key uses the key
+      kernel's output vector directly (scalar dict keys); compound keys
+      transpose with one ``zip(*…)``.
     * **Probe.** Each left page becomes paired (left position, right
       position) lists, in left order and then build order, and output
       pages gather both sides column by column. A residual runs as a
@@ -765,26 +807,18 @@ class HashJoinExec(PhysicalOperator):
         self, ctx: ExecutionContext, pages: Iterable[Batch]
     ) -> Tuple[List[List[Any]], Dict[Any, List[int]], int, bool]:
         """``(right columns, key -> positions, right rows, saw a NULL key)``."""
-        right_columns: List[List[Any]] = [[] for _ in self.right.columns]
+        right = concat_pages(ctx, pages, len(self.right.columns))
         table: Dict[Any, List[int]] = {}
-        setdefault = table.setdefault
-        kernels = self._right_key_kernels
-        rows = 0
         null_key = False
-        for page in pages:
-            ctx.check_deadline()
-            for column, values in zip(right_columns, page.columns):
-                column.extend(values)
-            if kernels:
-                for position, key in enumerate(
-                    self._extract_keys(kernels, page), rows
-                ):
-                    if key is None:
-                        null_key = True
-                    else:
-                        setdefault(key, []).append(position)
-            rows += page.num_rows
-        return right_columns, table, rows, null_key
+        if self._right_key_kernels:
+            setdefault = table.setdefault
+            keys = self._extract_keys(self._right_key_kernels, right)
+            for position, key in enumerate(keys):
+                if key is None:
+                    null_key = True
+                else:
+                    setdefault(key, []).append(position)
+        return right.columns, table, right.num_rows, null_key
 
     def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
         return self.join_pages(
@@ -1225,12 +1259,32 @@ class HashAggregateExec(PhysicalOperator):
 
 
 class WindowExec(PhysicalOperator):
-    """Materializes input and appends window-function columns."""
+    """Materializes input and appends one column per window spec.
+
+    The input is concatenated into one page and every spec's partition,
+    order and argument columns are computed over it by batch kernels.
+    Rows group into partitions by their partition-key tuples; a ranking
+    function orders each partition's positions with :func:`sort_positions`,
+    an aggregate folds the partition's argument values in input order.
+    Output rows keep the input order.
+    """
 
     def __init__(self, plan: "WindowOp", child: PhysicalOperator) -> None:
         super().__init__(plan.output_columns)
         self.child = child
         self.plan = plan
+        layout = build_layout(child.columns)
+        self._kernels = [
+            (
+                [compile_batch_expression(e, layout) for e in spec.partition_by],
+                [compile_batch_expression(e, layout) for e, _ in spec.order_keys],
+                [ascending for _, ascending in spec.order_keys],
+                compile_batch_expression(spec.argument, layout)
+                if spec.argument is not None
+                else None,
+            )
+            for spec in plan.specs
+        ]
 
     def children(self) -> List[PhysicalOperator]:
         return [self.child]
@@ -1240,33 +1294,92 @@ class WindowExec(PhysicalOperator):
         return f"Window({names})"
 
     def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        from .fragments import apply_window
-
-        rows = _materialize_rows(self.child, ctx)
-        yield from chunk_rows(
-            apply_window(rows, self.plan.child.output_columns, self.plan.specs),
-            ctx.batch_size,
+        page = concat_pages(
+            ctx, self.child.iterate_batches(ctx), len(self.child.columns)
         )
+        columns = list(page.columns)
+        for spec, kernels in zip(self.plan.specs, self._kernels):
+            columns.append(self._spec_values(spec, kernels, page))
+        yield from split_batches(
+            [Page(columns, page.num_rows)], ctx.batch_size
+        )
+
+    @staticmethod
+    def _spec_values(spec: WindowSpec, kernels, page: Batch) -> List[Any]:
+        function = spec.function
+        partition_kernels, order_kernels, directions, argument_kernel = kernels
+        rows = page.num_rows
+        partitions: Dict[Row, List[int]] = {}
+        keys = (
+            zip(*[kernel(page) for kernel in partition_kernels])
+            if partition_kernels
+            else repeat((), rows)
+        )
+        for index, key in enumerate(keys):
+            partitions.setdefault(key, []).append(index)
+        values: List[Any] = [None] * rows
+        if function in ("ROW_NUMBER", "RANK", "DENSE_RANK"):
+            order_columns = [kernel(page) for kernel in order_kernels]
+            for indexes in partitions.values():
+                ordered = sort_positions(list(indexes), order_columns, directions)
+                previous_key: Any = object()
+                rank = dense = 0
+                for position, index in enumerate(ordered, start=1):
+                    current_key = tuple(column[index] for column in order_columns)
+                    if current_key != previous_key:
+                        rank = position
+                        dense += 1
+                        previous_key = current_key
+                    if function == "ROW_NUMBER":
+                        values[index] = position
+                    elif function == "RANK":
+                        values[index] = rank
+                    else:
+                        values[index] = dense
+            return values
+        call = AggregateCall(function, spec.argument, False)
+        arguments = argument_kernel(page) if argument_kernel is not None else None
+        for indexes in partitions.values():
+            accumulator = make_accumulator(call)
+            if arguments is None:
+                accumulator.add_repeat(len(indexes))
+            else:
+                accumulator.add_many(list(map(arguments.__getitem__, indexes)))
+            result = accumulator.result()
+            for index in indexes:
+                values[index] = result
+        return values
 
 
 class SortExec(PhysicalOperator):
+    """Full in-memory sort: the input is concatenated into one page, the
+    key columns are computed over it by batch kernels, row positions are
+    ordered by :func:`sort_positions`, and the output gathers them."""
+
     def __init__(
         self, child: PhysicalOperator, keys: Sequence[Tuple[ast.Expr, bool]]
     ) -> None:
         super().__init__(child.columns)
         self.child = child
         layout = build_layout(child.columns)
-        self._key_fns = [compile_expression(expr, layout) for expr, _ in keys]
+        self._key_kernels = [
+            compile_batch_expression(expr, layout) for expr, _ in keys
+        ]
         self._directions = [ascending for _, ascending in keys]
 
     def children(self) -> List[PhysicalOperator]:
         return [self.child]
 
     def iterate_batches(self, ctx: ExecutionContext) -> Iterator[Batch]:
-        rows = _materialize_rows(self.child, ctx)
-        yield from chunk_rows(
-            sort_rows(rows, self._key_fns, self._directions), ctx.batch_size
+        page = concat_pages(ctx, self.child.iterate_batches(ctx), len(self.columns))
+        order = sort_positions(
+            list(range(page.num_rows)),
+            [kernel(page) for kernel in self._key_kernels],
+            self._directions,
         )
+        size = ctx.batch_size
+        for start in range(0, page.num_rows, size):
+            yield page.take(order[start : start + size])
 
 
 class LimitExec(PhysicalOperator):
@@ -1430,10 +1543,19 @@ class SetDifferenceExec(PhysicalOperator):
 
 
 class PhysicalPlanner:
-    """Turns an optimized logical plan into a physical operator tree."""
+    """Turns an optimized logical plan into a physical operator tree.
 
-    def __init__(self, catalog: Catalog) -> None:
+    At the mediator every scan must sit inside a fragment by now, so a
+    bare ``ScanOp`` is a planner bug. Given ``scan_pages``, the planner
+    builds a fragment for :func:`run_fragment` instead, and scans become
+    :class:`ScanPagesExec` leaves.
+    """
+
+    def __init__(
+        self, catalog: Optional[Catalog], scan_pages: Optional[ScanPages] = None
+    ) -> None:
         self._catalog = catalog
+        self._scan_pages = scan_pages
 
     def build(self, plan: LogicalPlan) -> PhysicalOperator:
         if isinstance(plan, RemoteQueryOp):
@@ -1445,6 +1567,8 @@ class PhysicalPlanner:
         if isinstance(plan, ValuesOp):
             return StaticRowsExec(list(plan.rows), plan.columns)
         if isinstance(plan, ScanOp):
+            if self._scan_pages is not None:
+                return ScanPagesExec(plan, self._scan_pages)
             raise PlanError(
                 f"bare scan of {plan.table.name!r} survived pushdown; "
                 "this is a planner bug"
@@ -1571,3 +1695,27 @@ class PhysicalPlanner:
             plan.output_columns,
             plan.null_aware,
         )
+
+
+def run_fragment(
+    plan: LogicalPlan, scan_pages: ScanPages, page_rows: int
+) -> Iterator[Page]:
+    """Run a fragment inside its source, on the engine's own operators.
+
+    For wrappers whose native system has no query engine (in-memory
+    tables, parsed files): ``scan_pages(scan)`` yields the pages of one
+    scan leaf's table in the scan's column order, and everything above
+    the scans runs on the same operators and kernels as the mediator. The
+    operators run on a local :class:`ExecutionContext` that charges no
+    network and has no deadline, ``page_rows`` rows per batch. The result
+    follows the adapter page contract: full ``page_rows`` pages, then
+    exactly one final partial — possibly empty — page.
+    """
+    from .planner import PlannerOptions
+
+    page_rows = max(page_rows, 1)
+    root = PhysicalPlanner(None, scan_pages).build(plan)
+    context = ExecutionContext(
+        None, None, PlannerOptions(batch_size=page_rows)  # type: ignore[arg-type]
+    )
+    return repage(root.iterate_batches(context), page_rows, len(root.columns))

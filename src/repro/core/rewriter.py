@@ -15,7 +15,7 @@ Applied after binding and before join ordering/pushdown:
    outer limit).
 
 Everything here is semantics-preserving on bags of rows; the differential
-tests check each rule against the reference interpreter.
+tests check each rule against the reference executor (``tests/reference.py``).
 """
 
 from __future__ import annotations

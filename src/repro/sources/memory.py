@@ -4,20 +4,27 @@ Models a cooperative departmental record manager: it can filter, project,
 aggregate, and limit its own tables, but cannot join (each request touches
 one record type) — a common envelope for non-relational stores of the era.
 
+It has no query engine of its own, so it runs every fragment on the
+mediator's operators and vector kernels inside the wrapper
+(:func:`~repro.core.physical.run_fragment`), with scans slicing a
+columnar mirror of each table.
+
 Also the workhorse test double: tables are loaded directly from Python
 rows with type validation.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..catalog.schema import TableSchema
 from ..datatypes import coerce_value
 from ..errors import CapabilityError, DuplicateObjectError, SourceError
-from ..core.fragments import Fragment, interpret_plan
+from ..core.fragments import Fragment
 from ..core.logical import JoinOp, ScanOp
 from ..core.pages import Column, Page, paginate_rows
+from ..core.physical import run_fragment
 from .base import Adapter, SourceCapabilities
 
 
@@ -145,63 +152,49 @@ class MemorySource(Adapter):
         return len(self._rows[self._resolve_name(native_table)])
 
     def execute(self, fragment: Fragment) -> Iterator[Tuple[Any, ...]]:
+        return chain.from_iterable(
+            self._run(fragment, self._capabilities.page_rows)
+        )
+
+    def execute_pages(self, fragment: Fragment, page_rows: int) -> Iterator[Page]:
+        """Paged fragment execution: the fragment runs on the engine's own
+        operators (:func:`~repro.core.physical.run_fragment`), its scans
+        slicing the tables' columnar mirrors (:meth:`_table_columns`)."""
+        # Subclasses that override execute() (fault-injection doubles,
+        # instrumented sources) must keep seeing every call: their pages
+        # come through their execute(), whose super() call runs _run.
+        if type(self).execute is not MemorySource.execute:
+            yield from paginate_rows(
+                self.execute(fragment),
+                max(page_rows, 1),
+                len(fragment.output_columns),
+            )
+            return
+        yield from self._run(fragment, page_rows)
+
+    def _run(self, fragment: Fragment, page_rows: int) -> Iterator[Page]:
+        """The fragment's result pages, per the adapter page contract."""
         if not self._capabilities.joins:
             for node in fragment.plan.walk():
                 if isinstance(node, JoinOp):
                     raise CapabilityError(
                         f"source {self.name!r} cannot execute joins"
                     )
+        page_rows = max(page_rows, 1)
 
-        def provide(scan: ScanOp) -> Iterator[Tuple[Any, ...]]:
+        def scan_pages(scan: ScanOp) -> Iterator[Page]:
             mapping = scan.effective_mapping
             assert mapping is not None and scan.table.schema is not None
             native_schema = self._native_schema(mapping.remote_table)
-            indices = [
-                native_schema.index_of(mapping.remote_column(column.name))
+            resolved = self._resolve_name(mapping.remote_table)
+            columns = self._table_columns(resolved)
+            source = [
+                columns[native_schema.index_of(mapping.remote_column(column.name))]
                 for column in scan.table.schema.columns
             ]
-            rows = self.scan(mapping.remote_table)
-            if indices == list(range(len(native_schema.columns))):
-                return rows
-            return (tuple(row[i] for i in indices) for row in rows)
+            total = len(self._rows[resolved])
+            for start in range(0, total, page_rows):
+                stop = min(start + page_rows, total)
+                yield Page([column[start:stop] for column in source], stop - start)
 
-        return interpret_plan(fragment.plan, provide)
-
-    def execute_pages(self, fragment: Fragment, page_rows: int) -> Iterator[Page]:
-        """Paged fragment execution returning native columnar pages.
-
-        Fast path for bare table scans: pages are cut as per-column slices
-        of the table's columnar mirror (:meth:`_table_columns`) — no
-        per-row transpose at all, and projection reorder is just picking
-        which column vectors to slice. Follows the page contract (full
-        pages, then one final partial — possibly empty — page)."""
-        page_rows = max(page_rows, 1)
-        plan = fragment.plan
-        # Subclasses that override execute() (fault-injection doubles,
-        # instrumented sources) must keep seeing every call: take the slow
-        # path through their execute() rather than slicing stored columns.
-        overridden = type(self).execute is not MemorySource.execute
-        if not overridden and isinstance(plan, ScanOp):
-            mapping = plan.effective_mapping
-            if mapping is not None and plan.table.schema is not None:
-                native_schema = self._native_schema(mapping.remote_table)
-                indices = [
-                    native_schema.index_of(mapping.remote_column(column.name))
-                    for column in plan.table.schema.columns
-                ]
-                resolved = self._resolve_name(mapping.remote_table)
-                columns = self._table_columns(resolved)
-                source = [columns[i] for i in indices]
-                total = len(self._rows[resolved])
-                full = total // page_rows
-                for index in range(full + 1):
-                    start = index * page_rows
-                    stop = min(start + page_rows, total)
-                    yield Page(
-                        [column[start:stop] for column in source],
-                        stop - start,
-                    )
-                return
-        yield from paginate_rows(
-            self.execute(fragment), page_rows, len(fragment.output_columns)
-        )
+        return run_fragment(fragment.plan, scan_pages, page_rows)

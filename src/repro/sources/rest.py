@@ -19,9 +19,10 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..catalog.schema import TableSchema
 from ..datatypes import coerce_value
 from ..errors import CapabilityError, DuplicateObjectError
-from ..core.expressions import build_layout, compile_predicate
+from ..core.expressions import build_layout, compile_batch_predicate
 from ..core.fragments import Fragment
 from ..core.logical import FilterOp, LimitOp, ScanOp
+from ..core.pages import Page
 from ..sql import ast
 from .base import Adapter, SourceCapabilities
 
@@ -136,17 +137,17 @@ class RestSource(Adapter):
         )
         self.request_log.append(request)
 
-        predicate_fn = None
+        rows: Iterator[Tuple[Any, ...]] = (
+            tuple(row[i] for i in indices)
+            for row in self.scan(mapping.remote_table)
+        )
         if predicate is not None:
-            layout = build_layout(scan.columns)
-            predicate_fn = compile_predicate(predicate, layout)
+            select = compile_batch_predicate(predicate, build_layout(scan.columns))
+            rows = iter(select(Page.from_rows(list(rows), len(indices))))
 
         emitted = 0
         skipped = 0
-        for row in self.scan(mapping.remote_table):
-            reordered = tuple(row[i] for i in indices)
-            if predicate_fn is not None and not predicate_fn(reordered):
-                continue
+        for reordered in rows:
             if skipped < offset:
                 skipped += 1
                 continue

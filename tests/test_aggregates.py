@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.core.aggregates import make_accumulator, sort_rows
+from repro.core.aggregates import make_accumulator
 from repro.core.logical import AggregateCall
 from repro.datatypes import DataType
 from repro.errors import ExecutionError
 from repro.sql import ast
+
+from .reference import sort_rows
 
 
 def lit(value, dtype=DataType.INTEGER):

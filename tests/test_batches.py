@@ -18,25 +18,23 @@ from repro.core.expressions import (
     build_layout,
     compile_batch_expression,
     compile_batch_predicate,
-    compile_expression,
-    compile_predicate,
 )
 from repro.core.logical import RelColumn
 from repro.core.physical import (
     ExecutionContext,
     StaticRowsExec,
     _row_bytes,
-    chunk_rows,
     make_batch_sizer,
     profile_operators,
     split_batches,
 )
-from repro.core.pages import Page, paginate_rows
+from repro.core.pages import Page, paginate_rows, repage
 from repro.datatypes import DataType
 from repro.errors import PlanError
 from repro.sql import ast
 
 from .conftest import drain, make_small_gis
+from .reference import compile_expression, compile_predicate
 
 GIS = make_small_gis()
 
@@ -63,16 +61,6 @@ def rows_of(*values):
 
 
 class TestChunkingHelpers:
-    def test_chunk_rows_sizes_and_tail(self):
-        batches = list(chunk_rows(iter(rows_of(*range(10))), 4))
-        assert all(isinstance(batch, Page) for batch in batches)
-        assert batches == [
-            rows_of(0, 1, 2, 3), rows_of(4, 5, 6, 7), rows_of(8, 9),
-        ]
-
-    def test_chunk_rows_empty_stream_yields_nothing(self):
-        assert list(chunk_rows(iter(()), 4)) == []
-
     def test_split_batches_never_coalesces(self):
         # Two incoming pages of 3 rows with batch size 4: a coalescing
         # implementation would emit [4, 2]; splitting keeps [3, 3].
@@ -102,6 +90,28 @@ class TestChunkingHelpers:
         pages = list(paginate_rows(iter(()), 4, width=2))
         assert pages == [[]]
         assert pages[0].width == 2
+
+    def test_repage_cuts_a_page_stream_like_paginate_rows(self):
+        pages = [
+            Page.from_rows(rows_of(*range(start, stop)))
+            for start, stop in ((0, 3), (3, 4), (4, 13), (13, 13), (13, 16))
+        ]
+        expected = list(paginate_rows(iter(rows_of(*range(16))), 4, width=1))
+        repaged = list(repage(pages, 4, width=1))
+        assert repaged == expected
+        assert [page.num_rows for page in repaged] == [4, 4, 4, 4, 0]
+        assert repaged[-1].width == 1
+
+    def test_repage_passes_full_pages_through(self):
+        full = Page.from_rows(rows_of(1, 2))
+        (first, last) = repage([full], 2, width=1)
+        assert first is full
+        assert last == [] and last.width == 1
+
+    def test_repage_empty_stream_still_one_page(self):
+        pages = list(repage([], 4, width=3))
+        assert pages == [[]]
+        assert pages[0].width == 3
 
 
 # ---------------------------------------------------------------------------

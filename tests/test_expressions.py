@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from repro.core.expressions import (
     build_layout,
     cast_value,
-    compile_expression,
-    compile_predicate,
     evaluate_constant,
     infer_type,
     like_pattern_to_regex,
@@ -19,6 +17,8 @@ from repro.core.logical import RelColumn
 from repro.datatypes import DataType
 from repro.errors import ExecutionError, TypeCheckError
 from repro.sql import ast
+
+from .reference import compile_expression, compile_predicate
 
 
 def lit(value):

@@ -9,9 +9,11 @@ import pytest
 from repro import Catalog, MemorySource, TableMapping
 from repro.catalog.schema import schema_from_pairs
 from repro.core.analyzer import Analyzer
-from repro.core.fragments import equi_join_keys, interpret_plan
+from repro.core.fragments import equi_join_keys
 from repro.core.logical import ScanOp
 from repro.sql.parser import parse_select
+
+from .reference import interpret_plan
 
 PEOPLE = [
     (1, "Ann", "EU", 10.0),

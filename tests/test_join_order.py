@@ -8,12 +8,13 @@ from repro.catalog.statistics import TableStatistics
 from repro.core.analyzer import Analyzer
 from repro.core.cardinality import Estimator
 from repro.core.cost import CostModel
-from repro.core.fragments import interpret_plan
 from repro.core.join_order import JoinOrderer
 from repro.core.logical import JoinOp, ScanOp
 from repro.core.rewriter import rewrite
 from repro.errors import PlanError
 from repro.sql.parser import parse_select
+
+from .reference import interpret_plan
 
 
 def build_catalog(sizes):

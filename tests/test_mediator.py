@@ -19,6 +19,7 @@ from repro.errors import (
 )
 
 from .conftest import ORDERS, make_small_gis
+from .reference import reference_query
 
 
 class TestRegistration:
@@ -186,7 +187,7 @@ class TestReferenceQuery:
             "JOIN orders o ON c.id = o.cust_id GROUP BY c.region"
         )
         engine = small_gis.query(sql)
-        names, reference = small_gis.reference_query(sql)
+        names, reference = reference_query(small_gis, sql)
         assert names == engine.column_names
         assert sorted(engine.rows, key=repr) == sorted(reference, key=repr)
 
@@ -242,8 +243,8 @@ class TestAnalyzeSampling:
         result = gis.query(
             "SELECT c.name FROM customers c JOIN orders o ON c.id = o.cust_id"
         )
-        names, reference = gis.reference_query(
-            "SELECT c.name FROM customers c JOIN orders o ON c.id = o.cust_id"
+        names, reference = reference_query(
+            gis, "SELECT c.name FROM customers c JOIN orders o ON c.id = o.cust_id"
         )
         assert sorted(result.rows) == sorted(reference)
 

@@ -18,6 +18,7 @@ from repro import (
     GlobalInformationSystem,
     MemorySource,
     PlannerOptions,
+    SourceCapabilities,
     SourceError,
     build_from_config,
 )
@@ -263,6 +264,35 @@ class TestTracedQueries:
         tree = format_span_tree(obs.spans)
         assert tree.splitlines()[0].startswith("query")
         assert "  phase:plan" in tree
+
+
+class TestDisabledPath:
+    """Observing a query never changes it: every configuration returns the
+    rows and the transfer ledger of the disabled default."""
+
+    SQL = "SELECT a, a * 2 FROM t WHERE b > 'v2' OR a < 5"
+
+    @pytest.mark.parametrize(
+        "observability",
+        [
+            dict(metrics=True),
+            dict(trace=True),
+            dict(trace=True, metrics=True),
+        ],
+        ids=["metrics", "trace", "trace+metrics"],
+    )
+    def test_configuration_returns_the_disabled_result(self, observability):
+        scan_only = SourceCapabilities.scan_only(page_rows=7)
+        baseline = build(MemorySource("mem", capabilities=scan_only)).query(self.SQL)
+        observed = build(
+            MemorySource("mem", capabilities=scan_only),
+            observability=Observability(**observability),
+        ).query(self.SQL)
+        assert observed.rows == baseline.rows
+        for field in ("rows_shipped", "messages", "bytes_shipped", "network_ms"):
+            assert getattr(observed.metrics.network, field) == getattr(
+                baseline.metrics.network, field
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +611,32 @@ class TestExplainAnalyzeTimings:
         for line in plan:
             assert re.search(r"\[\d+ rows(?: / \d+ batches)? / [\d.]+ ms\]",
                              line), line
+
+    def test_live_tracer_profiles_each_operator_once(
+        self, small_gis, monkeypatch
+    ):
+        from collections import Counter
+
+        from repro.core import mediator
+
+        wrapped = Counter()
+        profile = mediator.profile_operators
+
+        def counting(root, *args, **kwargs):
+            wrapped.update(id(op) for op in root.walk())
+            return profile(root, *args, **kwargs)
+
+        monkeypatch.setattr(mediator, "profile_operators", counting)
+        small_gis.obs = Observability(trace=True)
+        text = small_gis.explain_analyze(
+            "SELECT c.region, COUNT(*) FROM customers c "
+            "JOIN orders o ON c.id = o.cust_id GROUP BY c.region"
+        )
+        plan = text.split("\n\n")[0].splitlines()[1:]
+        operators = [s for s in small_gis.obs.spans if s.category == "operator"]
+        assert set(wrapped.values()) == {1}
+        assert len(wrapped) == len(plan) == len(operators)
+        assert all(s.name.startswith("op:") for s in operators)
 
     def test_explain_analyze_counts_as_a_query(self, small_gis):
         small_gis.obs = Observability(metrics=True)

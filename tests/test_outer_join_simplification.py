@@ -5,6 +5,7 @@ import pytest
 from repro.core.logical import FilterOp, JoinOp, RemoteQueryOp
 
 from .conftest import assert_same_rows, make_small_gis
+from .reference import reference_query
 
 
 def join_kinds(plan):
@@ -37,7 +38,7 @@ class TestConversion:
         planned = gis.plan(sql)
         assert join_kinds(planned.distributed) == ["INNER"]
         result = gis.query(sql)
-        _, reference = gis.reference_query(sql)
+        _, reference = reference_query(gis, sql)
         assert_same_rows(result.rows, reference)
 
     @pytest.mark.parametrize(
@@ -57,7 +58,7 @@ class TestConversion:
         planned = gis.plan(sql)
         assert "LEFT" in join_kinds(planned.distributed)
         result = gis.query(sql)
-        _, reference = gis.reference_query(sql)
+        _, reference = reference_query(gis, sql)
         assert_same_rows(result.rows, reference)
 
     def test_converted_filter_reaches_the_source(self, gis):
@@ -79,7 +80,7 @@ class TestConversion:
         planned = gis.plan(sql)
         assert join_kinds(planned.distributed) == ["INNER"]
         result = gis.query(sql)
-        _, reference = gis.reference_query(sql)
+        _, reference = reference_query(gis, sql)
         assert_same_rows(result.rows, reference)
 
     def test_anti_join_idiom_results(self, gis):

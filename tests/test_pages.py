@@ -24,8 +24,6 @@ from repro.core.expressions import (
     build_layout,
     compile_batch_expression,
     compile_batch_predicate,
-    compile_expression,
-    compile_predicate,
 )
 from repro.core.logical import RelColumn
 from repro.core.pages import Page
@@ -35,6 +33,7 @@ from repro.sql import ast
 from repro.workloads import WORKLOAD_QUERIES
 
 from .conftest import assert_same_rows
+from .reference import compile_expression, compile_predicate, reference_query
 
 INT = DataType.INTEGER
 TEXT = DataType.TEXT
@@ -285,7 +284,7 @@ def _default(federation, name, sql):
     reference interpreter the first time a query is seen."""
     if name not in _default_cache:
         result = federation.gis.query(sql)
-        _, reference = federation.gis.reference_query(sql)
+        _, reference = reference_query(federation.gis, sql)
         assert_same_rows(result.rows, reference)
         _default_cache[name] = result
     return _default_cache[name]

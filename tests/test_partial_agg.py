@@ -7,6 +7,7 @@ from repro.core.logical import AggregateOp, RemoteQueryOp, UnionOp
 from repro.workloads import build_partitioned_orders
 
 from .conftest import assert_same_rows
+from .reference import reference_query
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +40,7 @@ class TestCorrectness:
     @pytest.mark.parametrize("sql", QUERIES)
     def test_matches_reference(self, federation, sql):
         result = federation.gis.query(sql)
-        _, reference = federation.gis.reference_query(sql)
+        _, reference = reference_query(federation.gis, sql)
         assert_same_rows(result.rows, reference)
 
     @pytest.mark.parametrize("sql", QUERIES)
@@ -89,8 +90,8 @@ class TestPlanShape:
         result = federation.gis.query(
             "SELECT COUNT(DISTINCT o_cust_id) FROM orders_all"
         )
-        _, reference = federation.gis.reference_query(
-            "SELECT COUNT(DISTINCT o_cust_id) FROM orders_all"
+        _, reference = reference_query(
+            federation.gis, "SELECT COUNT(DISTINCT o_cust_id) FROM orders_all"
         )
         assert result.rows == reference
 

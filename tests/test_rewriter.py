@@ -5,7 +5,6 @@ import pytest
 from repro import Catalog, MemorySource, TableMapping
 from repro.catalog.schema import schema_from_pairs
 from repro.core.analyzer import Analyzer
-from repro.core.fragments import interpret_plan
 from repro.core.logical import (
     AggregateOp,
     DistinctOp,
@@ -27,6 +26,8 @@ from repro.core.rewriter import (
 from repro.datatypes import DataType
 from repro.sql import ast
 from repro.sql.parser import parse_select
+
+from .reference import interpret_plan
 
 ROWS_T = [(i, f"n{i % 3}", float(i)) for i in range(20)]
 ROWS_U = [(i, i % 5) for i in range(15)]

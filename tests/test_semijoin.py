@@ -16,6 +16,7 @@ from repro.catalog.schema import schema_from_pairs
 from repro.core.logical import RemoteQueryOp
 
 from .conftest import assert_same_rows
+from .reference import reference_query
 
 
 def build_gis(bandwidth=1_000.0, big_rows=2000, match_keys=5, retries=0):
@@ -152,8 +153,8 @@ class TestExecution:
             "SELECT tag FROM probe WHERE k IN (SELECT k FROM big)",
             PlannerOptions(semijoin="force"),
         )
-        names, reference = gis.reference_query(
-            "SELECT tag FROM probe WHERE k IN (SELECT k FROM big)"
+        names, reference = reference_query(
+            gis, "SELECT tag FROM probe WHERE k IN (SELECT k FROM big)"
         )
         assert_same_rows(result.rows, reference)
 
@@ -230,5 +231,5 @@ class TestKeyValueBindJoin:
         bound = bound_remotes(planned.distributed)
         assert bound and bound[0].source_name == "support"
         result = federation.gis.query(sql, PlannerOptions(semijoin="force"))
-        names, reference = federation.gis.reference_query(sql)
+        names, reference = reference_query(federation.gis, sql)
         assert_same_rows(result.rows, reference)

@@ -2,9 +2,9 @@
 
 Random (but dialect-valid) queries are pushed to a SQLiteSource — which
 compiles them to native SQL — and the same queries run through the
-mediator's own reference interpreter over the same rows. Any divergence is
-either a printer/compiler bug or a semantic mismatch between our evaluator
-and SQLite; both are worth failing on.
+test suite's reference interpreter (``tests/reference.py``) over the same
+rows. Any divergence is either a printer/compiler bug or a semantic
+mismatch between our evaluator and SQLite; both are worth failing on.
 """
 
 import pytest
@@ -15,6 +15,7 @@ from repro import GlobalInformationSystem, NetworkLink, SQLiteSource
 from repro.catalog.schema import schema_from_pairs
 
 from .conftest import assert_same_rows
+from .reference import reference_query
 
 ROWS = [
     (i, f"name{i % 5}", float(i * 7 % 97), (i % 4) or None)
@@ -40,7 +41,7 @@ GIS = build_gis()
 
 def check(sql):
     engine = GIS.query(sql)
-    _, reference = GIS.reference_query(sql)
+    _, reference = reference_query(GIS, sql)
     assert_same_rows(engine.rows, reference)
 
 
@@ -99,7 +100,7 @@ def test_order_limit_compiled_to_sqlite(column, ascending, limit):
     direction = "" if ascending else " DESC"
     sql = f"SELECT id, {column} FROM t ORDER BY {column}{direction}, id LIMIT {limit}"
     engine = GIS.query(sql)
-    _, reference = GIS.reference_query(sql)
+    _, reference = reference_query(GIS, sql)
     # Order matters here: the secondary `id` key makes ordering total.
     assert engine.rows == reference
 
