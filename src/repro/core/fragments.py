@@ -12,7 +12,7 @@ which :class:`~repro.sources.memory.MemorySource` uses).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..sql import ast
 from .logical import LogicalPlan, RelColumn, ScanOp
@@ -75,3 +75,33 @@ def equi_join_keys(
     if not left_keys:
         return None
     return left_keys, right_keys, residual
+
+
+def key_values(conjunct: ast.Expr, key_column: str, mapping: Any) -> Optional[set]:
+    """The literal key values one conjunct selects, or None if unsupported.
+
+    Supported are ``key = literal`` (either side) and ``key IN (literals)``
+    on the remote ``key_column``. The pushdown planner ships a filter to a
+    key-lookup source only when every conjunct has a key set; the wrapper
+    answers it from the same sets.
+    """
+    if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
+        sides = [conjunct.left, conjunct.right]
+        for ref, literal in (sides, sides[::-1]):
+            if (
+                isinstance(ref, ast.BoundRef)
+                and isinstance(literal, ast.Literal)
+                and mapping.remote_column(ref.column.name).lower() == key_column.lower()
+            ):
+                return {literal.value}
+        return None
+    if (
+        isinstance(conjunct, ast.InList)
+        and not conjunct.negated
+        and isinstance(conjunct.operand, ast.BoundRef)
+        and mapping.remote_column(conjunct.operand.column.name).lower()
+        == key_column.lower()
+        and all(isinstance(item, ast.Literal) for item in conjunct.items)
+    ):
+        return {item.value for item in conjunct.items}  # type: ignore[union-attr]
+    return None

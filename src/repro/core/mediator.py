@@ -14,6 +14,8 @@ This is the class downstream users interact with::
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import time
 from datetime import date
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -571,9 +573,7 @@ class GlobalInformationSystem:
         with tracer.child(parent, "phase:parse", "phase"):
             statement = parse_select(sql)
         param = parameterize(statement)
-        key_opts = opts.plan_key()
-        epoch = cache.epoch
-        entry = cache.lookup(param.shape_key, key_opts)
+        entry = cache.lookup(param.shape_key, opts.plan_key())
         if entry is not None:
             bound = entry.bind(sql, param.values, self.catalog)
             if bound is not None:
@@ -582,21 +582,40 @@ class GlobalInformationSystem:
             cache.record_fallback()
         else:
             cache.record_miss()
-        planned = self.planner.plan_statement(
-            param.statement, sql, opts, tracer=tracer, parent=parent
+        entry = self._plan_and_cache(
+            sql, opts, param, pinned=False, tracer=tracer, parent=parent
+        )
+        return entry.planned, False
+
+    def _plan_and_cache(
+        self,
+        sql: str,
+        opts: PlannerOptions,
+        param: ParameterizedStatement,
+        pinned: bool,
+        tracer=None,
+        parent=None,
+    ) -> PreparedPlan:
+        """Plan a parameterized statement and store it in the plan cache.
+
+        A ``pinned`` plan (a prepared statement's) is planned with
+        materialized snapshots suspended, so none of their rows are baked
+        into a plan meant for repeated execution. Plans with a spliced-in
+        snapshot are never cached: their rows go stale on the staleness
+        clock, which the epoch-based plan cache cannot observe.
+        """
+        epoch = self.plan_cache.epoch
+        with self.materialized.suspended() if pinned else contextlib.nullcontext():
+            planned = self.planner.plan_statement(
+                param.statement, sql, opts, tracer=tracer, parent=parent
+            )
+        entry = PreparedPlan(
+            param.shape_key, opts.plan_key(), planned, param.values,
+            param.dtypes, epoch, statement=param.statement,
         )
         if self._materialized_hits(planned) == 0:
-            # Plans with a spliced-in snapshot are never cached: their rows
-            # go stale on the staleness clock, which the epoch-based plan
-            # cache cannot observe.
-            cache.store(
-                PreparedPlan(
-                    param.shape_key, key_opts, planned,
-                    param.values, param.dtypes, epoch,
-                    statement=param.statement,
-                )
-            )
-        return planned, False
+            self.plan_cache.store(entry)
+        return entry
 
     @staticmethod
     def _materialized_hits(planned: PlannedQuery) -> int:
@@ -619,18 +638,7 @@ class GlobalInformationSystem:
         still replans after catalog invalidation)."""
         opts = options or self.planner.options
         param = parameterize(parse_select(sql))
-        key_opts = opts.plan_key()
-        epoch = self.plan_cache.epoch
-        # Prepared plans are pinned for repeated execution, so never bake a
-        # materialized snapshot's rows into one.
-        with self.materialized.suspended():
-            planned = self.planner.plan_statement(param.statement, sql, opts)
-        entry = PreparedPlan(
-            param.shape_key, key_opts, planned,
-            param.values, param.dtypes, epoch,
-            statement=param.statement,
-        )
-        self.plan_cache.store(entry)
+        entry = self._plan_and_cache(sql, opts, param, pinned=True)
         return PreparedStatement(self, sql, opts, param, entry)
 
     def _execution_context(
@@ -1104,18 +1112,15 @@ class PreparedStatement:
                 if bound is not None:
                     cache.record_hit()
                     return bound, True
-            statement = bind_statement_values(self._param.statement, values)
-            with self._gis.materialized.suspended():
-                planned = self._gis.planner.plan_statement(
-                    statement, self.sql, opts, tracer=tracer, parent=root
-                )
-            self._entry = PreparedPlan(
-                entry.shape_key, entry.options, planned,
-                values, self._param.dtypes, cache.epoch,
-                statement=statement,
+            param = dataclasses.replace(
+                self._param,
+                statement=bind_statement_values(self._param.statement, values),
+                values=values,
             )
-            cache.store(self._entry)
-            return planned, False
+            self._entry = self._gis._plan_and_cache(
+                self.sql, opts, param, pinned=True, tracer=tracer, parent=root
+            )
+            return self._entry.planned, False
 
         return self._gis._execute_query(self.sql, opts, plan_fn)
 

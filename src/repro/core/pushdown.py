@@ -19,6 +19,7 @@ from typing import Dict, Optional, Tuple
 from ..catalog.catalog import Catalog
 from ..sql import ast
 from .cardinality import Estimator
+from .fragments import key_values
 from .logical import (
     AggregateOp,
     DistinctOp,
@@ -207,7 +208,10 @@ class PushdownPlanner:
         if key_column is None:
             return None
         for conjunct in ast.conjuncts(plan.predicate):
-            if not _is_key_conjunct(conjunct, key_column, mapping, caps.in_list_max):
+            if key_values(conjunct, key_column, mapping) is None:
+                return None
+            # The IN-list bound counts the items as written, not distinct values.
+            if isinstance(conjunct, ast.InList) and 0 < caps.in_list_max < len(conjunct.items):
                 return None
         return source
 
@@ -280,25 +284,3 @@ def _expression_supported(expr: ast.Expr, caps) -> bool:
         )
     return False  # subqueries, stars: never pushable
 
-
-def _is_key_conjunct(conjunct: ast.Expr, key_column: str, mapping, in_list_max: int) -> bool:
-    if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
-        sides = [conjunct.left, conjunct.right]
-        for ref, literal in (sides, sides[::-1]):
-            if (
-                isinstance(ref, ast.BoundRef)
-                and isinstance(literal, ast.Literal)
-                and mapping.remote_column(ref.column.name).lower() == key_column.lower()
-            ):
-                return True
-        return False
-    if (
-        isinstance(conjunct, ast.InList)
-        and not conjunct.negated
-        and isinstance(conjunct.operand, ast.BoundRef)
-        and mapping.remote_column(conjunct.operand.column.name).lower()
-        == key_column.lower()
-        and all(isinstance(item, ast.Literal) for item in conjunct.items)
-    ):
-        return not in_list_max or len(conjunct.items) <= in_list_max
-    return False

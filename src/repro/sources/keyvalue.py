@@ -15,7 +15,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..catalog.schema import TableSchema
 from ..datatypes import coerce_value
 from ..errors import CapabilityError, DuplicateObjectError, SourceError
-from ..core.fragments import Fragment
+from ..core.fragments import Fragment, key_values
 from ..core.logical import FilterOp, ScanOp
 from ..core.pages import Page, paginate_rows
 from ..sql import ast
@@ -202,7 +202,7 @@ class KeyValueSource(Adapter):
             )
         key_sets: List[set] = []
         for conjunct in ast.conjuncts(predicate):
-            values = _key_values(conjunct, key_column, mapping)
+            values = key_values(conjunct, key_column, mapping)
             if values is None:
                 raise CapabilityError(
                     f"source {self.name!r} cannot evaluate predicate "
@@ -213,27 +213,3 @@ class KeyValueSource(Adapter):
             return []
         result = set.intersection(*key_sets)
         return sorted(result, key=repr)
-
-
-def _key_values(conjunct: ast.Expr, key_column: str, mapping: Any) -> Optional[set]:
-    """Literal key values selected by one conjunct, or None if unsupported."""
-    if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
-        sides = [conjunct.left, conjunct.right]
-        for ref, literal in (sides, sides[::-1]):
-            if (
-                isinstance(ref, ast.BoundRef)
-                and isinstance(literal, ast.Literal)
-                and mapping.remote_column(ref.column.name).lower() == key_column.lower()
-            ):
-                return {literal.value}
-        return None
-    if (
-        isinstance(conjunct, ast.InList)
-        and not conjunct.negated
-        and isinstance(conjunct.operand, ast.BoundRef)
-        and mapping.remote_column(conjunct.operand.column.name).lower()
-        == key_column.lower()
-        and all(isinstance(item, ast.Literal) for item in conjunct.items)
-    ):
-        return {item.value for item in conjunct.items}  # type: ignore[union-attr]
-    return None

@@ -1,16 +1,19 @@
-"""Hand-written tokenizer for the mediator's SQL dialect.
+"""Tokenizer for the mediator's SQL dialect: one compiled regular expression.
 
-Produces a flat token stream with line/column positions so that parse errors
-point at the offending text. Keywords are case-insensitive; identifiers keep
-their case but compare case-insensitively downstream (double-quoted
-identifiers preserve case exactly and may contain keywords).
+Each step matches one alternative of :data:`_TOKEN` at the current offset
+(leading whitespace included) and dispatches on the alternative's name.
+Tokens record their start offset; line and column are derived from the text
+only when read, so that parse errors can point at the offending text.
+Keywords are case-insensitive; identifiers keep their case but compare
+case-insensitively downstream (double-quoted identifiers preserve case
+exactly and may contain keywords).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, List
+import re
+from typing import Any, List, NamedTuple, NoReturn, Tuple
 
 from ..errors import ParseError
 
@@ -40,26 +43,57 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character operators must be matched before their prefixes.
-_OPERATORS = ("<>", "!=", "<=", ">=", "||", "=", "<", ">", "+", "-", "*", "/", "%")
+# Alternatives are tried in order, so a comment wins over the ``-`` and ``/``
+# operators, a number over the ``.`` punctuation, and a multi-character
+# operator over its prefix. Each ``open_*`` alternative only matches where
+# the complete form before it failed. Digits are ASCII (``\d`` would admit
+# superscripts and other scripts that ``int()`` rejects), and a quote
+# followed by a quote continues the literal, hence the ``(?!')`` after the
+# closing quote.
+_TOKEN = re.compile(
+    r"""
+    [ \t\r\n]*
+    (?:
+        (?P<comment>--[^\n]*|/\*.*?\*/)
+      | (?P<open_comment>/\*)
+      | (?P<float>(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+)
+      | (?P<integer>[0-9]+)
+      | (?P<string>'[^']*(?:''[^']*)*'(?!'))
+      | (?P<open_string>')
+      | (?P<quoted>"[^"]*(?:""[^"]*)*"(?!"))
+      | (?P<open_quoted>")
+      | (?P<word>\w+)
+      | (?P<operator><>|!=|<=|>=|\|\||[=<>+\-*/%])
+      | (?P<punctuation>[(),.])
+      | (?P<eof>\Z)
+      | (?P<unexpected>.)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
-_PUNCTUATION = "(),."
+
+def _position(text: str, offset: int) -> Tuple[int, int]:
+    """1-based (line, column) of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _is_ascii_digit(char: str) -> bool:
-    """ASCII-only digit test: ``str.isdigit`` accepts Unicode digits (e.g.
-    superscripts) that ``int()`` rejects."""
-    return "0" <= char <= "9"
-
-
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token with its source position (1-based)."""
+class Token(NamedTuple):
+    """A single lexical token: its start ``offset`` into ``text``, with the
+    1-based ``line`` and ``column`` computed on read."""
 
     type: TokenType
     value: Any
-    line: int
-    column: int
+    offset: int
+    text: str
+
+    @property
+    def line(self) -> int:
+        return _position(self.text, self.offset)[0]
+
+    @property
+    def column(self) -> int:
+        return _position(self.text, self.offset)[1]
 
     def matches_keyword(self, *keywords: str) -> bool:
         """True if this token is one of the given keywords."""
@@ -67,6 +101,13 @@ class Token:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Token({self.type.name}, {self.value!r}, {self.line}:{self.column})"
+
+
+_ERRORS = {
+    "open_comment": "unterminated block comment",
+    "open_string": "unterminated string literal",
+    "open_quoted": "unterminated quoted identifier",
+}
 
 
 class Lexer:
@@ -79,157 +120,53 @@ class Lexer:
 
     def __init__(self, text: str) -> None:
         self._text = text
-        self._pos = 0
-        self._line = 1
-        self._column = 1
 
     def tokenize(self) -> List[Token]:
         """Tokenize the whole input, appending a trailing EOF token."""
+        text = self._text
         tokens: List[Token] = []
+        pos = 0
         while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.type == TokenType.EOF:
-                return tokens
-
-    # -- internals ---------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        return self._text[index] if index < len(self._text) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        consumed = self._text[self._pos : self._pos + count]
-        for char in consumed:
-            if char == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-        self._pos += count
-        return consumed
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self._pos < len(self._text):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "-" and self._peek(1) == "-":
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self._pos < len(self._text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
+            match = _TOKEN.match(text, pos)
+            kind = match.lastgroup
+            start = match.start(kind)
+            value = match.group(kind)
+            pos = match.end()
+            if kind == "word":
+                upper = value.upper()
+                if upper in KEYWORDS:
+                    tokens.append(Token(TokenType.KEYWORD, upper, start, text))
+                elif value[0].isalpha() or value[0] == "_":
+                    tokens.append(Token(TokenType.IDENTIFIER, value, start, text))
                 else:
-                    raise ParseError("unterminated block comment", self._line, self._column)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        line, column = self._line, self._column
-        if self._pos >= len(self._text):
-            return Token(TokenType.EOF, None, line, column)
-        char = self._peek()
-        if _is_ascii_digit(char) or (char == "." and _is_ascii_digit(self._peek(1))):
-            return self._lex_number(line, column)
-        if char == "'":
-            return self._lex_string(line, column)
-        if char == '"':
-            return self._lex_quoted_identifier(line, column)
-        if char.isalpha() or char == "_":
-            return self._lex_word(line, column)
-        for operator in _OPERATORS:
-            if self._text.startswith(operator, self._pos):
-                self._advance(len(operator))
+                    self._fail(f"unexpected character {value[0]!r}", start)
+            elif kind == "punctuation":
+                tokens.append(Token(TokenType.PUNCTUATION, value, start, text))
+            elif kind == "operator":
                 # Normalize != to the SQL-standard spelling.
-                value = "<>" if operator == "!=" else operator
-                return Token(TokenType.OPERATOR, value, line, column)
-        if char in _PUNCTUATION:
-            self._advance()
-            return Token(TokenType.PUNCTUATION, char, line, column)
-        raise ParseError(f"unexpected character {char!r}", line, column)
-
-    def _lex_number(self, line: int, column: int) -> Token:
-        start = self._pos
-        saw_dot = False
-        saw_exponent = False
-        while self._pos < len(self._text):
-            char = self._peek()
-            if _is_ascii_digit(char):
-                self._advance()
-            elif char == "." and not saw_dot and not saw_exponent:
-                # A dot not followed by a digit is punctuation (e.g. "1.e"?
-                # we accept "1." as float, matching SQL lexers).
-                saw_dot = True
-                self._advance()
-            elif (
-                char in "eE"
-                and not saw_exponent
-                and (
-                    _is_ascii_digit(self._peek(1))
-                    or (self._peek(1) in "+-" and _is_ascii_digit(self._peek(2)))
+                value = "<>" if value == "!=" else value
+                tokens.append(Token(TokenType.OPERATOR, value, start, text))
+            elif kind == "integer":
+                tokens.append(Token(TokenType.INTEGER, int(value), start, text))
+            elif kind == "float":
+                tokens.append(Token(TokenType.FLOAT, float(value), start, text))
+            elif kind == "string":
+                tokens.append(Token(TokenType.STRING, value[1:-1].replace("''", "'"), start, text))
+            elif kind == "quoted":
+                if value == '""':
+                    self._fail("empty quoted identifier", start)
+                tokens.append(
+                    Token(TokenType.IDENTIFIER, value[1:-1].replace('""', '"'), start, text)
                 )
-            ):
-                saw_exponent = True
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-            else:
-                break
-        text = self._text[start : self._pos]
-        if saw_dot or saw_exponent:
-            return Token(TokenType.FLOAT, float(text), line, column)
-        return Token(TokenType.INTEGER, int(text), line, column)
+            elif kind == "eof":
+                tokens.append(Token(TokenType.EOF, None, start, text))
+                return tokens
+            elif kind == "unexpected":
+                self._fail(f"unexpected character {value!r}", start)
+            elif kind != "comment":
+                # An unterminated comment runs to the end of the text;
+                # literals report where they opened.
+                self._fail(_ERRORS[kind], len(text) if kind == "open_comment" else start)
 
-    def _lex_string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        pieces: List[str] = []
-        while True:
-            if self._pos >= len(self._text):
-                raise ParseError("unterminated string literal", line, column)
-            char = self._peek()
-            if char == "'":
-                if self._peek(1) == "'":  # doubled quote = escaped quote
-                    pieces.append("'")
-                    self._advance(2)
-                else:
-                    self._advance()
-                    return Token(TokenType.STRING, "".join(pieces), line, column)
-            else:
-                pieces.append(char)
-                self._advance()
-
-    def _lex_quoted_identifier(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        pieces: List[str] = []
-        while True:
-            if self._pos >= len(self._text):
-                raise ParseError("unterminated quoted identifier", line, column)
-            char = self._peek()
-            if char == '"':
-                if self._peek(1) == '"':
-                    pieces.append('"')
-                    self._advance(2)
-                else:
-                    self._advance()
-                    if not pieces:
-                        raise ParseError("empty quoted identifier", line, column)
-                    return Token(TokenType.IDENTIFIER, "".join(pieces), line, column)
-            else:
-                pieces.append(char)
-                self._advance()
-
-    def _lex_word(self, line: int, column: int) -> Token:
-        start = self._pos
-        while self._pos < len(self._text) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        word = self._text[start : self._pos]
-        upper = word.upper()
-        if upper in KEYWORDS:
-            return Token(TokenType.KEYWORD, upper, line, column)
-        return Token(TokenType.IDENTIFIER, word, line, column)
+    def _fail(self, message: str, offset: int) -> NoReturn:
+        raise ParseError(message, *_position(self._text, offset))

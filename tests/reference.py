@@ -490,6 +490,13 @@ def _compile_binary(expr: ast.BinaryOp, layout: Dict[int, int]) -> RowFunction:
     right = _compile(expr.right, layout)
     if op == "LIKE":
         return _compile_like(left, expr.right, right)
+    # As in the engine's kernels, a NULL-literal operand yields NULL
+    # without evaluating the other operand (which may raise, e.g. CAST).
+    if any(
+        isinstance(side, ast.Literal) and side.value is None
+        for side in (expr.left, expr.right)
+    ):
+        return lambda row: None
     if op == "||":
         def concat(row: Tuple[Any, ...]) -> Any:
             lhs, rhs = left(row), right(row)

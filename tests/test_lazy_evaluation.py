@@ -17,6 +17,8 @@ import pytest
 from repro import GlobalInformationSystem, MemorySource, SourceCapabilities
 from repro.catalog.schema import schema_from_pairs
 
+from .reference import reference_query
+
 ROWS = [(1, "1"), (2, "x"), (3, "7")]
 
 QUERIES = [
@@ -68,3 +70,20 @@ def test_unguarded_bad_cast_still_raises():
     gis = build(SourceCapabilities.scan_only())
     with pytest.raises(ExecutionError, match="cannot coerce"):
         gis.query("SELECT CAST(s AS INTEGER) FROM t")
+
+
+NULL_OPERAND_QUERIES = [
+    "SELECT id, CAST(s AS INTEGER) + NULL FROM t",
+    "SELECT id, NULL * CAST(s AS INTEGER) FROM t",
+    "SELECT id FROM t WHERE CAST(s AS INTEGER) = NULL OR id = 2",
+]
+
+
+@pytest.mark.parametrize("sql", NULL_OPERAND_QUERIES)
+def test_null_literal_operand_skips_the_other_side(sql):
+    """A NULL-literal operand makes the result NULL without evaluating the
+    other operand, in the engine and in the row oracle alike."""
+    gis = build(SourceCapabilities.scan_only())
+    expected = sqlite_rows(sql)
+    assert gis.query(sql + " ORDER BY id").rows == expected
+    assert sorted(reference_query(gis, sql)[1]) == expected

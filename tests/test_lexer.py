@@ -137,3 +137,103 @@ class TestErrors:
     def test_eof_token_is_appended(self):
         all_tokens = Lexer("x").tokenize()
         assert all_tokens[-1].type == TokenType.EOF
+
+
+# -- the lexer's contract, case by case ----------------------------------------
+#
+# Each case is (text, expected) where expected is either the token list
+# (type, value, line, column) without the EOF, or ("error", message, line,
+# column) for the ParseError the text must raise.
+
+I, F, S, ID, KW, OP, P = (
+    TokenType.INTEGER, TokenType.FLOAT, TokenType.STRING, TokenType.IDENTIFIER,
+    TokenType.KEYWORD, TokenType.OPERATOR, TokenType.PUNCTUATION,
+)
+
+CONTRACT = [
+    # strings: a doubled quote never closes the literal
+    ("XX,E'T!=*LC½²''-", ("error", "unterminated string literal", 1, 5)),
+    ("'it''s' x", [(S, "it's", 1, 1), (ID, "x", 1, 9)]),
+    ("'a'''", [(S, "a'", 1, 1)]),
+    ("'a''''", ("error", "unterminated string literal", 1, 1)),
+    ("'a' 'b'", [(S, "a", 1, 1), (S, "b", 1, 5)]),
+    ("'a\nb'", [(S, "a\nb", 1, 1)]),
+    ("''''", [(S, "'", 1, 1)]),
+    # block comments: unterminated ones fail at the end of the text
+    ("SELECT 1 /* never closed", ("error", "unterminated block comment", 1, 25)),
+    ("SELECT\n/* a\nb", ("error", "unterminated block comment", 3, 2)),
+    ("/*/", ("error", "unterminated block comment", 1, 4)),
+    ("a /**/ b", [(ID, "a", 1, 1), (ID, "b", 1, 8)]),
+    ("a/* x */-- y\n/", [(ID, "a", 1, 1), (OP, "/", 2, 1)]),
+    ("1--x", [(I, 1, 1, 1)]),
+    # words start with a letter (str.isalpha) or '_'
+    ("²", ("error", "unexpected character '²'", 1, 1)),
+    ("x ½", ("error", "unexpected character '½'", 1, 3)),
+    ("٣a", ("error", "unexpected character '٣'", 1, 1)),
+    ("０", ("error", "unexpected character '０'", 1, 1)),
+    ("1²", ("error", "unexpected character '²'", 1, 2)),
+    ("a٣²½ é_", [(ID, "a٣²½", 1, 1), (ID, "é_", 1, 6)]),
+    ("Ａb", [(ID, "Ａb", 1, 1)]),
+    ("_1 sElEcT", [(ID, "_1", 1, 1), (KW, "SELECT", 1, 4)]),
+    # numbers: ASCII digits only
+    (".5", [(F, 0.5, 1, 1)]),
+    ("7.", [(F, 7.0, 1, 1)]),
+    ("1.5e3", [(F, 1500.0, 1, 1)]),
+    ("2E-2", [(F, 0.02, 1, 1)]),
+    ("1.e5", [(F, 100000.0, 1, 1)]),
+    ("1e", [(I, 1, 1, 1), (ID, "e", 1, 2)]),
+    ("1e+", [(I, 1, 1, 1), (ID, "e", 1, 2), (OP, "+", 1, 3)]),
+    ("1e5.3", [(F, 100000.0, 1, 1), (F, 0.3, 1, 4)]),
+    ("1.2.3", [(F, 1.2, 1, 1), (F, 0.3, 1, 4)]),
+    ("1..2", [(F, 1.0, 1, 1), (F, 0.2, 1, 3)]),
+    ("t.5", [(ID, "t", 1, 1), (F, 0.5, 1, 2)]),
+    ("t.x", [(ID, "t", 1, 1), (P, ".", 1, 2), (ID, "x", 1, 3)]),
+    ("007", [(I, 7, 1, 1)]),
+    ("١٢", ("error", "unexpected character '١'", 1, 1)),
+    # quoted identifiers
+    ('""', ("error", "empty quoted identifier", 1, 1)),
+    ('x ""y', ("error", "empty quoted identifier", 1, 3)),
+    ('"""', ("error", "unterminated quoted identifier", 1, 1)),
+    ('""""', [(ID, '"', 1, 1)]),
+    ('"a""b" "FROM"', [(ID, 'a"b', 1, 1), (ID, "FROM", 1, 8)]),
+    # operators and stray characters
+    ("a!=b", [(ID, "a", 1, 1), (OP, "<>", 1, 2), (ID, "b", 1, 4)]),
+    ("<>=", [(OP, "<>", 1, 1), (OP, "=", 1, 3)]),
+    ("!", ("error", "unexpected character '!'", 1, 1)),
+    ("a | b", ("error", "unexpected character '|'", 1, 3)),
+    ("a\x0bb", ("error", "unexpected character '\\x0b'", 1, 2)),
+    ("a\xa0b", ("error", "unexpected character '\\xa0'", 1, 2)),
+    # positions across lines
+    ("SELECT a,\n  b -- note\nFROM /* x\ny */ t",
+     [(KW, "SELECT", 1, 1), (ID, "a", 1, 8), (P, ",", 1, 9), (ID, "b", 2, 3),
+      (KW, "FROM", 3, 1), (ID, "t", 4, 6)]),
+    ("SELECT a\nFROM t\nWHERE b = 'oops",
+     ("error", "unterminated string literal", 3, 11)),
+    ("SELECT\n  @", ("error", "unexpected character '@'", 2, 3)),
+    ("-- c\n\t#", ("error", "unexpected character '#'", 2, 2)),
+    ("a\r@", ("error", "unexpected character '@'", 1, 3)),
+    ('x\n\n "', ("error", "unterminated quoted identifier", 3, 2)),
+]
+
+
+@pytest.mark.parametrize("text,expected", CONTRACT, ids=[repr(c[0]) for c in CONTRACT])
+def test_lexer_contract(text, expected):
+    if isinstance(expected, tuple):
+        _, message, line, column = expected
+        with pytest.raises(ParseError) as info:
+            Lexer(text).tokenize()
+        assert (str(info.value), info.value.line, info.value.column) == (
+            f"{message} (at line {line}, column {column})", line, column
+        )
+        return
+    got = [(t.type, t.value, t.line, t.column) for t in tokens_of(text)]
+    assert got == expected
+    assert all(type(t.value) is type(e[1]) for t, e in zip(tokens_of(text), expected))
+
+
+@pytest.mark.parametrize(
+    "text,position", [("", (1, 1)), ("a \n ", (2, 2)), ("x -- tail", (1, 10)), ("/**/\n", (2, 1))]
+)
+def test_eof_position(text, position):
+    eof = Lexer(text).tokenize()[-1]
+    assert (eof.type, eof.value, eof.line, eof.column) == (TokenType.EOF, None) + position

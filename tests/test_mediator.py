@@ -273,3 +273,20 @@ class TestExplainAnalyze:
     def test_plain_explain_not_instrumented(self, small_gis):
         text = small_gis.explain("SELECT COUNT(*) FROM customers")
         assert "[5 rows]" not in text
+
+
+class TestPlanCacheKeys:
+    def test_prepared_replan_is_keyed_by_the_options_it_planned_with(self):
+        # A prepared statement replanned under other planning options stores
+        # that plan under those options; an implicit query with the default
+        # options must not rebind it.
+        from repro.obs.trace import NULL_SPAN, NULL_TRACER
+
+        gis = make_small_gis()
+        gis.plan_cache.capacity = 64
+        sql = "SELECT name FROM customers WHERE balance > 10"
+        statement = gis.prepare(sql)
+        gis.plan_cache.invalidate()  # the pinned plan goes stale: execute replans
+        statement.execute(options=PlannerOptions(pushdown="scans-only"))
+        planned, _hit = gis._plan_for_query(sql, None, NULL_TRACER, NULL_SPAN)
+        assert planned.explain() == gis.planner.plan(sql).explain()

@@ -20,6 +20,9 @@ sql_ish_tokens = st.sampled_from(
     ]
 )
 
+#: Characters that reach the lexer's edge cases; ``st.text()`` rarely does.
+LEXER_ALPHABET = "abcXYZ_019 .,()'\"-*/<>=!|%\n\t+eE²½é٣Ａ"
+
 
 class TestLexerTotal:
     @settings(max_examples=200, deadline=None,
@@ -40,6 +43,23 @@ class TestLexerTotal:
             Lexer(text).tokenize()
         except ParseError:
             pass
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.text(alphabet=LEXER_ALPHABET, max_size=40))
+    def test_lexer_edge_alphabet(self, text):
+        """Quotes, comment openers, exponents and non-ASCII digits/letters:
+        tokens come in text order ending in EOF, or the error is positioned."""
+        try:
+            tokens = Lexer(text).tokenize()
+        except ParseError as error:
+            assert 1 <= error.line <= text.count("\n") + 1
+            assert error.column >= 1
+            return
+        assert tokens[-1].type.name == "EOF"
+        positions = [(t.line, t.column) for t in tokens]
+        assert positions == sorted(positions)
+        assert len(set(positions[:-1])) == len(positions) - 1
 
 
 class TestParserTotal:
